@@ -7,7 +7,8 @@
  *   --measure N   measured misses (default 400k)
  *   --seed S      RNG seed (default 1)
  *   --workload W  restrict to one workload (default: all six)
- *   --nodes N     processors (default 16)
+ *   --nodes N     processors, 2..256 (default 16); the trace-driven
+ *                 benches stop at 64 (trace records hold one mask word)
  *   --hubs N      address-interleaved ordering hubs (default 1)
  *   --cluster N   nodes per cluster, 0 = flat machine (default 0)
  *   --switch-ns F switch<->global interconnect leg in ns (default 0)
@@ -19,6 +20,8 @@
 
 #include <sys/stat.h>
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "analysis/trace_collector.hh"
+#include "mem/destination_set.hh"
 #include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -57,6 +61,21 @@ struct Options {
     unsigned runs = 1;  ///< perturbed runs averaged per data point
 };
 
+/** Strictly parse a --nodes value: an integer in 2..maxNodes, else a
+ *  clean fatal error (not a downstream panic or a silent 1-node run). */
+inline NodeId
+parseNodes(const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long n = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno != 0 || n < 2 || n > maxNodes)
+        dsp_fatal("--nodes '%s': expected an integer in 2..%u", text,
+                  maxNodes);
+    return static_cast<NodeId>(n);
+}
+
 inline Options
 parseOptions(int argc, char **argv)
 {
@@ -77,7 +96,7 @@ parseOptions(int argc, char **argv)
         } else if (arg == "--seed") {
             opt.seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--nodes") {
-            opt.nodes = static_cast<NodeId>(std::atoi(next()));
+            opt.nodes = parseNodes(next());
         } else if (arg == "--hubs") {
             opt.hubs = static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--cluster") {
@@ -98,7 +117,11 @@ parseOptions(int argc, char **argv)
             std::fprintf(stderr,
                          "options: --scale F --warmup N --measure N "
                          "--seed S --nodes N --hubs N --cluster N "
-                         "--switch-ns F --workload W --csv\n");
+                         "--switch-ns F --workload W --csv\n"
+                         "--nodes takes 2..%u; trace-driven benches "
+                         "(figures 2-6, table 2, ablation) take at most "
+                         "%u, the trace format's single-word masks\n",
+                         maxNodes, DestinationSet::maskNodes);
             std::exit(0);
         } else {
             dsp_fatal("unknown option '%s'", arg.c_str());

@@ -22,7 +22,7 @@
  *   --warmup N     functional warmup misses (default 50000)
  *   --workload W   workload preset (default barnes)
  *   --threads N    shard threads for the parallel config (default 4)
- *   --nodes N      processors (default 16)
+ *   --nodes N      processors, 2..256 (default 16)
  *   --hubs N       address-interleaved ordering hubs (default 1)
  *   --cluster N    nodes per cluster, 0 = flat (default 0)
  *   --switch-ns F  switch<->global interconnect leg in ns (default 0)
@@ -65,6 +65,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "checkpoint/checkpoint.hh"
 #include "interconnect/message.hh"
 #include "sim/event.hh"
@@ -133,7 +134,7 @@ parseArgs(int argc, char **argv)
             if (opt.repeat == 0)
                 opt.repeat = 1;
         } else if (arg == "--nodes") {
-            opt.nodes = static_cast<NodeId>(std::atoi(next()));
+            opt.nodes = bench::parseNodes(next());
         } else if (arg == "--hubs") {
             opt.hubs = static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--cluster") {

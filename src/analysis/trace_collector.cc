@@ -11,6 +11,10 @@ TraceCollector::TraceCollector(Workload &workload,
       tracker_(workload.numNodes()),
       icount_(workload.numNodes(), 0)
 {
+    if (numNodes_ > DestinationSet::maskNodes)
+        dsp_fatal("trace collection supports at most %u nodes (trace "
+                  "records hold single-word destination masks), not %u",
+                  DestinationSet::maskNodes, numNodes_);
     nodes_.reserve(numNodes_);
     for (NodeId n = 0; n < numNodes_; ++n)
         nodes_.emplace_back(caches);

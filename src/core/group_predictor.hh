@@ -25,7 +25,7 @@ namespace dsp {
  * Per-entry state: N 2-bit counters + a 5-bit rollover counter.
  *
  * The counters are packed two bits per processor into uint64 words
- * (16 bytes for the full 64-node limit, vs. 64 bytes as a byte array)
+ * (64 bytes at the 256-node limit, vs. 256 bytes as a byte array)
  * so predictor table lines stay small, and decay/extract are SWAR
  * operations instead of per-node loops.
  */
@@ -79,19 +79,19 @@ struct GroupEntry {
     DestinationSet
     predictedSet(NodeId /* num_nodes */) const
     {
-        std::uint64_t mask = 0;
+        DestinationSet::Words words{};
         for (unsigned w = 0; w < packed.size(); ++w) {
             std::uint64_t high =
                 (packed[w] >> 1) & 0x5555555555555555ULL;
             while (high != 0) {
-                unsigned bit = static_cast<unsigned>(
-                    __builtin_ctzll(high));
-                mask |= std::uint64_t{1}
-                        << (w * fieldsPerWord + bit / 2);
+                unsigned node = w * fieldsPerWord +
+                                static_cast<unsigned>(
+                                    __builtin_ctzll(high)) / 2;
+                words[node / 64] |= std::uint64_t{1} << (node % 64);
                 high &= high - 1;
             }
         }
-        return DestinationSet::fromMask(mask);
+        return DestinationSet::fromWords(words);
     }
 };
 

@@ -1,11 +1,17 @@
 #include "core/sticky_spatial.hh"
 
+#include "sim/logging.hh"
+
 namespace dsp {
 
 StickySpatialPredictor::StickySpatialPredictor(
     const PredictorConfig &config, unsigned spatial_degree)
     : Predictor(config), spatialDegree_(spatial_degree)
 {
+    if (config.numNodes > DestinationSet::maskNodes)
+        dsp_fatal("sticky-spatial supports at most %u nodes (its "
+                  "entries hold single-word destination masks), not %u",
+                  DestinationSet::maskNodes, config.numNodes);
     if (config.entries > 0)
         finite_.resize(config.entries);
 }

@@ -35,6 +35,11 @@ class DestinationSet
 
     using Words = std::array<std::uint64_t, wordCount>;
 
+    /** Nodes the single-word mask() surface covers: the ceiling of
+     *  everything that persists one mask word (trace records, the
+     *  Sticky-Spatial table). */
+    static constexpr NodeId maskNodes = 64;
+
     constexpr DestinationSet() = default;
 
     /**
@@ -96,7 +101,7 @@ class DestinationSet
     {
         for (unsigned w = 1; w < wordCount; ++w)
             dsp_assert(words_[w] == 0,
-                       "mask() on a set with nodes >= 64");
+                       "mask() on a set with nodes >= %u", maskNodes);
         return words_[0];
     }
 

@@ -2,23 +2,25 @@
  * @file
  * Packed set-associative cache array: one 64-bit word per line.
  *
- * The generic CacheArray keeps tags, LRU stamps, and payloads in three
- * parallel planes, which is right for wide tags and fat payloads
- * (predictor tables). The simulated L1/L2 planes are the opposite
- * extreme: the payload is 1-2 bits of permission state and the tag
- * fits easily beside a 32-bit LRU stamp. Packing
+ * The simulated L1/L2 planes hold no data, only a tag and 1-2 bits of
+ * permission state per line, and the tag fits easily beside a 32-bit
+ * LRU stamp. Packing
  *
  *     [ stamp:32 | tag:(32-PayloadBits) | payload:PayloadBits ]
  *
  * into a single word puts an entire 4-way set into one 32-byte,
  * line-aligned run: a probe, a hit, or a fill touches exactly one
- * host cache line where the split planes touched two or three. The
+ * host cache line where separate tag, stamp, and payload planes
+ * would touch two or three. The
  * simulated L2s are far larger than the host's caches, so those line
  * touches -- not the walk instructions -- dominate the access+fill
  * profile; measured on the Figure-7 configs this layout is the
  * difference the probe-combining rework was after.
  *
- * The probe()/fillAt() handle carries a snapshot of the set's words.
+ * A coherence miss probes the array, goes off to the coherence layer,
+ * and installs the granted line much later. probe() walks the set
+ * once and returns a small handle that fillAt() consumes to install
+ * without re-walking. The handle carries a snapshot of the set's words.
  * Freshness is self-evident: no operation can change a set's outcome
  * (tag match, validity, LRU order) without changing some word, and if
  * the words are bit-identical to the snapshot then a fresh walk would
@@ -26,10 +28,9 @@
  * no epochs, no invalidation hooks, nothing on the fast paths. The
  * comparison reads only the line fillAt() is about to write anyway.
  *
- * LRU semantics (true LRU per set, free ways first, stamp
- * renormalization every ~4 billion touches) are bit-compatible with
- * CacheArray, so swapping a level between the two layouts changes no
- * simulation statistic.
+ * LRU semantics: true LRU per set, the first free way before any
+ * eviction, and an order-preserving stamp renormalization every ~4
+ * billion touches (so the 32-bit stamp never reorders lines).
  */
 
 #ifndef DSP_MEM_PACKED_CACHE_ARRAY_HH
@@ -86,7 +87,11 @@ class PackedCacheArray
     static_assert((tagFieldMask & payloadMask) == 0,
                   "tag and payload fields must not overlap");
 
-    /** See CacheArray: debug builds count tag-plane walks. */
+    /**
+     * Tag-plane walks are counted in debug builds only (the hot loops
+     * stay branch-identical to the release build); tests gate their
+     * exact-count assertions on this.
+     */
 #ifndef NDEBUG
     static constexpr bool walkCounting = true;
 #else
@@ -103,8 +108,8 @@ class PackedCacheArray
     struct Handle {
         static constexpr std::uint32_t wayNpos =
             std::numeric_limits<std::uint32_t>::max();
-        /** 4 covers every real geometry (Table 4 caches, Table 3
-         *  predictor tables); wider sets re-walk at fill. */
+        /** 4 covers every Table 4 cache geometry; wider sets
+         *  re-walk at fill. */
         static constexpr std::size_t maxWays = 4;
 
         std::uint64_t key = 0;
@@ -356,7 +361,9 @@ class PackedCacheArray
 
     /**
      * Insert (or overwrite) key -> payload; evicts the set's LRU line
-     * if the set is full. Fused walk (see CacheArray::insert).
+     * if the set is full. A dedicated fused walk rather than probe()
+     * + fillAt(): the handle bookkeeping is pure overhead when the
+     * fill follows the walk immediately.
      */
     std::optional<PackedEviction>
     insert(std::uint64_t key, std::uint32_t payload)

@@ -13,6 +13,7 @@
 #include "core/owner_group_predictor.hh"
 #include "core/owner_predictor.hh"
 #include "core/sticky_spatial.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace dsp {
@@ -219,6 +220,24 @@ TEST(Group, AddsNodesWithCountersAboveOne)
               expected);
 }
 
+TEST(Group, PredictsNodesAbove64)
+{
+    // A 256-node machine: trained nodes in every counter word, and in
+    // every DestinationSet word, must come back as exactly themselves.
+    PredictorConfig c = config();
+    c.numNodes = maxNodes;
+    GroupPredictor pred(c);
+    DestinationSet expected = minimal();
+    for (NodeId n : {NodeId{40}, NodeId{64}, NodeId{100}, NodeId{255}}) {
+        pred.trainExternalRequest(kAddr, kPc, RequestType::GetExclusive, n);
+        pred.trainExternalRequest(kAddr, kPc, RequestType::GetExclusive, n);
+        expected.add(n);
+    }
+    EXPECT_EQ(pred.predict(kAddr, kPc, RequestType::GetExclusive, kReq,
+                           kHome),
+              expected);
+}
+
 TEST(Group, ResponsesTrainResponder)
 {
     GroupPredictor pred(config());
@@ -329,6 +348,16 @@ TEST(StickySpatial, TrainsFromResponses)
     auto set = pred.predict(kAddr, kPc, RequestType::GetShared, kReq,
                             kHome);
     EXPECT_TRUE(set.contains(9));
+}
+
+TEST(StickySpatial, RejectsMachinesAboveTheMaskCeiling)
+{
+    PredictorConfig c = config(0, IndexingMode::Block64);
+    c.numNodes = DestinationSet::maskNodes;
+    EXPECT_NO_THROW(StickySpatialPredictor(c, 1));
+    c.numNodes = DestinationSet::maskNodes + 1;
+    PanicGuard guard;
+    EXPECT_THROW(StickySpatialPredictor(c, 1), std::runtime_error);
 }
 
 TEST(StickySpatial, IgnoresExternalRequests)

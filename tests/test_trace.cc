@@ -131,6 +131,19 @@ TEST(TraceCollector, CollectsRequestedMissCounts)
     EXPECT_EQ(trace.workloadName, "oltp");
 }
 
+TEST(TraceCollector, RejectsMachinesAboveTheMaskCeiling)
+{
+    // Trace records hold one 64-bit mask word: 64 nodes collect, 65+
+    // is a clean fatal error instead of a panic deep in mask().
+    auto ok = makeWorkload("oltp", DestinationSet::maskNodes, 1, 0.05);
+    TraceCollector at_ceiling(*ok);
+    EXPECT_EQ(at_ceiling.collect(10, 10).size(), 20u);
+
+    auto big = makeWorkload("oltp", 128, 1, 0.05);
+    PanicGuard guard;
+    EXPECT_THROW(TraceCollector collector(*big), std::runtime_error);
+}
+
 TEST(TraceCollector, RecordsAreInternallyConsistent)
 {
     auto workload = makeWorkload("apache", kNodes, 2, 0.05);
