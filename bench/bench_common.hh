@@ -2,17 +2,22 @@
  * @file
  * Shared command-line handling for the table/figure reproduction
  * benches. Every bench accepts:
- *   --scale F     workload footprint scale (default 1.0)
+ *   --scale F     workload footprint scale, 1e-4..64 (default 1.0)
  *   --warmup N    warmup misses before measuring (default 150k)
- *   --measure N   measured misses (default 400k)
+ *   --measure N   measured misses, >= 1 (default 400k)
  *   --seed S      RNG seed (default 1)
  *   --workload W  restrict to one workload (default: all six)
  *   --nodes N     processors, 2..256 (default 16); the trace-driven
  *                 benches stop at 64 (trace records hold one mask word)
- *   --hubs N      address-interleaved ordering hubs (default 1)
- *   --cluster N   nodes per cluster, 0 = flat machine (default 0)
- *   --switch-ns F switch<->global interconnect leg in ns (default 0)
+ *   --hubs N      address-interleaved ordering hubs, 1..64 (default 1)
+ *   --cluster N   nodes per cluster, 0 = flat machine (default 0);
+ *                 must divide --nodes
+ *   --switch-ns F switch<->global interconnect leg in ns, 0..1e6
+ *                 (default 0)
  *   --csv         emit CSV instead of aligned tables
+ * Numeric values are parsed strictly (parseUint/parseDouble): a value
+ * that is not a number, or is out of range, exits 1 with a `fatal:`
+ * line.
  */
 
 #ifndef DSP_BENCH_BENCH_COMMON_HH
@@ -22,6 +27,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +37,7 @@
 #include <vector>
 
 #include "analysis/trace_collector.hh"
+#include "interconnect/topology.hh"
 #include "mem/destination_set.hh"
 #include "sim/flat_map.hh"
 #include "sim/logging.hh"
@@ -61,19 +68,87 @@ struct Options {
     unsigned runs = 1;  ///< perturbed runs averaged per data point
 };
 
-/** Strictly parse a --nodes value: an integer in 2..maxNodes, else a
- *  clean fatal error (not a downstream panic or a silent 1-node run). */
-inline NodeId
-parseNodes(const char *text)
+/** Longest run any count flag may ask for (instructions per CPU,
+ *  misses): far beyond a practical run, far below 64-bit overflow of
+ *  the per-CPU targets built from it. */
+constexpr std::uint64_t maxRunLength = 1000000000000ull;
+
+/**
+ * Strictly parse a numeric flag value: decimal digits only (no sign,
+ * no spaces, no trailing text) and inside [lo, hi]; anything else is
+ * a clean fatal error naming the flag and its range, not a downstream
+ * panic, a silent wrap-around, or a silently ignored value.
+ */
+inline std::uint64_t
+parseUint(const char *flag, const char *text, std::uint64_t lo,
+          std::uint64_t hi)
 {
     char *end = nullptr;
     errno = 0;
-    unsigned long long n = std::strtoull(text, &end, 10);
+    unsigned long long v = std::strtoull(text, &end, 10);
     if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno != 0 || n < 2 || n > maxNodes)
-        dsp_fatal("--nodes '%s': expected an integer in 2..%u", text,
-                  maxNodes);
-    return static_cast<NodeId>(n);
+        *end != '\0' || errno != 0 || v < lo || v > hi) {
+        dsp_fatal("%s '%s': expected an integer in %llu..%llu", flag,
+                  text, static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi));
+    }
+    return v;
+}
+
+/** parseUint() for a finite decimal number in [lo, hi]. */
+inline double
+parseDouble(const char *flag, const char *text, double lo, double hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(text, &end);
+    if (end == text || std::isspace(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno != 0 || !std::isfinite(v) || v < lo ||
+        v > hi) {
+        dsp_fatal("%s '%s': expected a number in %g..%g", flag, text, lo,
+                  hi);
+    }
+    return v;
+}
+
+/** --nodes: an integer in 2..maxNodes. */
+inline NodeId
+parseNodes(const char *text)
+{
+    return static_cast<NodeId>(parseUint("--nodes", text, 2, maxNodes));
+}
+
+/** --hubs: 1..Topology::maxHubs ordering points. */
+inline unsigned
+parseHubs(const char *text)
+{
+    return static_cast<unsigned>(
+        parseUint("--hubs", text, 1, Topology::maxHubs));
+}
+
+/** --cluster: nodes per cluster, 0 (flat) .. maxNodes; whether it
+ *  divides the node count is checkTopology()'s call. */
+inline unsigned
+parseCluster(const char *text)
+{
+    return static_cast<unsigned>(parseUint("--cluster", text, 0, maxNodes));
+}
+
+/** --switch-ns: the switch<->global leg, 0..1e6 ns. */
+inline double
+parseSwitchNs(const char *text)
+{
+    return parseDouble("--switch-ns", text, 0.0, 1e6);
+}
+
+/** Reject machine shapes the topology cannot build, before any System
+ *  (or trace collector) exists to panic on them. */
+inline void
+checkTopology(NodeId nodes, unsigned cluster)
+{
+    if (cluster != 0 && nodes % cluster != 0)
+        dsp_fatal("--cluster %u does not divide --nodes %u", cluster,
+                  nodes);
 }
 
 inline Options
@@ -88,29 +163,34 @@ parseOptions(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--scale") {
-            opt.scale = std::atof(next());
+            opt.scale = parseDouble("--scale", next(), 1e-4, 64.0);
         } else if (arg == "--warmup") {
-            opt.warmupMisses = std::strtoull(next(), nullptr, 10);
+            opt.warmupMisses =
+                parseUint("--warmup", next(), 0, maxRunLength);
         } else if (arg == "--measure") {
-            opt.measureMisses = std::strtoull(next(), nullptr, 10);
+            opt.measureMisses =
+                parseUint("--measure", next(), 1, maxRunLength);
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            opt.seed = parseUint("--seed", next(), 0, UINT64_MAX);
         } else if (arg == "--nodes") {
             opt.nodes = parseNodes(next());
         } else if (arg == "--hubs") {
-            opt.hubs = static_cast<unsigned>(std::atoi(next()));
+            opt.hubs = parseHubs(next());
         } else if (arg == "--cluster") {
-            opt.cluster = static_cast<unsigned>(std::atoi(next()));
+            opt.cluster = parseCluster(next());
         } else if (arg == "--switch-ns") {
-            opt.switchNs = std::atof(next());
+            opt.switchNs = parseSwitchNs(next());
         } else if (arg == "--workload") {
             opt.workloads.push_back(next());
         } else if (arg == "--cpu-warmup") {
-            opt.cpuWarmupInstr = std::strtoull(next(), nullptr, 10);
+            opt.cpuWarmupInstr =
+                parseUint("--cpu-warmup", next(), 0, maxRunLength);
         } else if (arg == "--cpu-measure") {
-            opt.cpuMeasureInstr = std::strtoull(next(), nullptr, 10);
+            opt.cpuMeasureInstr =
+                parseUint("--cpu-measure", next(), 1, maxRunLength);
         } else if (arg == "--runs") {
-            opt.runs = static_cast<unsigned>(std::atoi(next()));
+            opt.runs =
+                static_cast<unsigned>(parseUint("--runs", next(), 1, 1000));
         } else if (arg == "--csv") {
             opt.csv = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -127,6 +207,7 @@ parseOptions(int argc, char **argv)
             dsp_fatal("unknown option '%s'", arg.c_str());
         }
     }
+    checkTopology(opt.nodes, opt.cluster);
     if (opt.workloads.empty())
         opt.workloads = workloadNames();
     return opt;

@@ -21,11 +21,17 @@
  *   --measure N    measured instructions per CPU (default 1000000)
  *   --warmup N     functional warmup misses (default 50000)
  *   --workload W   workload preset (default barnes)
- *   --threads N    shard threads for the parallel config (default 4)
+ *   --threads N    shard threads for the parallel config (default 4);
+ *                  with --config, an explicit --threads also shards
+ *                  the selected config. The JSON "threads" field is
+ *                  the effective count: N clamped to [1, min(nodes,
+ *                  64)] (System::shardCountFor)
  *   --nodes N      processors, 2..256 (default 16)
- *   --hubs N       address-interleaved ordering hubs (default 1)
- *   --cluster N    nodes per cluster, 0 = flat (default 0)
- *   --switch-ns F  switch<->global interconnect leg in ns (default 0)
+ *   --hubs N       address-interleaved ordering hubs, 1..64 (default 1)
+ *   --cluster N    nodes per cluster, 0 = flat (default 0); must
+ *                  divide --nodes
+ *   --switch-ns F  switch<->global interconnect leg in ns, 0..1e6
+ *                  (default 0)
  *   --seed S       RNG seed (default 1)
  *   --out FILE     JSON output path (default BENCH_hotpath.json)
  *   --oracle       shadow every run with the coherence oracle
@@ -59,6 +65,7 @@
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -86,6 +93,7 @@ struct HotpathOptions {
     unsigned repeat = 1;
     std::string workload = "barnes";
     unsigned threads = 4;
+    bool threadsExplicit = false;  ///< --threads given on the line
     bool hubShard = false;
     NodeId nodes = 16;
     unsigned hubs = 1;
@@ -118,31 +126,32 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--measure") {
-            opt.measureInstr = std::strtoull(next(), nullptr, 10);
+            opt.measureInstr = bench::parseUint("--measure", next(), 1,
+                                                bench::maxRunLength);
         } else if (arg == "--warmup") {
-            opt.warmupMisses = std::strtoull(next(), nullptr, 10);
+            opt.warmupMisses = bench::parseUint("--warmup", next(), 0,
+                                                bench::maxRunLength);
         } else if (arg == "--workload") {
             opt.workload = next();
         } else if (arg == "--threads") {
-            opt.threads = static_cast<unsigned>(std::atoi(next()));
-            if (opt.threads == 0)
-                opt.threads = 1;
+            opt.threads = static_cast<unsigned>(
+                bench::parseUint("--threads", next(), 1, UINT_MAX));
+            opt.threadsExplicit = true;
         } else if (arg == "--hub-shard") {
             opt.hubShard = true;
         } else if (arg == "--repeat") {
-            opt.repeat = static_cast<unsigned>(std::atoi(next()));
-            if (opt.repeat == 0)
-                opt.repeat = 1;
+            opt.repeat = static_cast<unsigned>(
+                bench::parseUint("--repeat", next(), 1, 1000));
         } else if (arg == "--nodes") {
             opt.nodes = bench::parseNodes(next());
         } else if (arg == "--hubs") {
-            opt.hubs = static_cast<unsigned>(std::atoi(next()));
+            opt.hubs = bench::parseHubs(next());
         } else if (arg == "--cluster") {
-            opt.cluster = static_cast<unsigned>(std::atoi(next()));
+            opt.cluster = bench::parseCluster(next());
         } else if (arg == "--switch-ns") {
-            opt.switchNs = std::atof(next());
+            opt.switchNs = bench::parseSwitchNs(next());
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            opt.seed = bench::parseUint("--seed", next(), 0, UINT64_MAX);
         } else if (arg == "--out") {
             opt.out = next();
             opt.outExplicit = true;
@@ -158,14 +167,17 @@ parseArgs(int argc, char **argv)
                 dsp_fatal("unknown mutation '%s'", name);
             opt.oracle = true;
         } else if (arg == "--stop-at") {
-            opt.stopAt = std::strtoull(next(), nullptr, 10);
+            opt.stopAt =
+                bench::parseUint("--stop-at", next(), 1, UINT64_MAX);
             opt.oracle = true;
         } else if (arg == "--checkpoint-every") {
-            opt.ckptEvery = std::strtoull(next(), nullptr, 10);
+            opt.ckptEvery = bench::parseUint("--checkpoint-every",
+                                             next(), 1, UINT64_MAX);
         } else if (arg == "--checkpoint-dir") {
             opt.ckptDir = next();
         } else if (arg == "--checkpoint-keep") {
-            opt.ckptKeep = static_cast<unsigned>(std::atoi(next()));
+            opt.ckptKeep = static_cast<unsigned>(bench::parseUint(
+                "--checkpoint-keep", next(), 0, UINT_MAX));
         } else if (arg == "--restore") {
             opt.restore = true;
         } else if (arg == "--restore-from") {
@@ -186,6 +198,7 @@ parseArgs(int argc, char **argv)
             dsp_fatal("unknown option '%s'", arg.c_str());
         }
     }
+    bench::checkTopology(opt.nodes, opt.cluster);
     // A checkpoint directory holds one simulation's snapshot stream;
     // the default 4-config bench would interleave four. Scope any
     // checkpoint/restore use to a single --config run.
@@ -296,7 +309,7 @@ runConfig(const HotpathOptions &opt, const std::string &name,
             // stats cover a prefix of the simulation, same contract
             // as an interrupt.
             result.name = name;
-            result.threads = threads;
+            result.threads = System::shardCountFor(params);
             result.stats = stats;
             result.wallSeconds = stats.wallSeconds;
             result.partial = true;
@@ -310,7 +323,7 @@ runConfig(const HotpathOptions &opt, const std::string &name,
             // flush what we have.
             if (rep == 0) {
                 result.name = name;
-                result.threads = threads;
+                result.threads = System::shardCountFor(params);
                 result.stats = stats;
                 result.wallSeconds = stats.wallSeconds;
             }
@@ -320,7 +333,7 @@ runConfig(const HotpathOptions &opt, const std::string &name,
 
         if (rep == 0) {
             result.name = name;
-            result.threads = threads;
+            result.threads = System::shardCountFor(params);
             result.stats = stats;
             // Wall time of the measured phase only, so warmup does
             // not dilute the throughput numbers.
@@ -540,15 +553,18 @@ main(int argc, char **argv)
          CpuModel::Simple, true},
     };
 
+    // A single --config run with an explicit --threads shards that
+    // config, whichever it is (check.sh's determinism legs use this).
+    const bool shardSelected =
+        !opt.onlyConfig.empty() && opt.threadsExplicit;
     std::vector<ConfigResult> results;
     for (const Config &config : configs) {
         if (!opt.onlyConfig.empty() && opt.onlyConfig != config.name)
             continue;
-        results.push_back(runConfig(opt, config.name, config.protocol,
-                                    PredictorPolicy::OwnerGroup,
-                                    config.cpuModel,
-                                    config.sharded ? opt.threads
-                                                   : 1));
+        results.push_back(runConfig(
+            opt, config.name, config.protocol,
+            PredictorPolicy::OwnerGroup, config.cpuModel,
+            config.sharded || shardSelected ? opt.threads : 1));
         if (interruptRequested())
             break;
     }

@@ -14,7 +14,8 @@
 #      config is run with --threads 1 and --threads 4 and every
 #      deterministic figure statistic must match bit-for-bit -- first
 #      on the paper's 16-node machine, then on a 64-node hierarchical
-#      4-hub machine (the configs/fig6_scaling.conf shape).
+#      4-hub machine (the configs/fig6_scaling.conf shape), where the
+#      snooping config is cross-checked the same way.
 #   5. sweep-driver crash-tolerance smoke (scripts/sweep_smoke.sh):
 #      a seeded fault-injection sweep must terminate with the expected
 #      failed rows, and resuming it must produce an aggregate table
@@ -302,22 +303,12 @@ else
          "the chain-fusion guard (first run after the field landed)"
 fi
 
-# Sharded-kernel determinism cross-check: a K-shard run must emit
+# Sharded-kernel determinism cross-checks: a K-shard run must emit
 # bit-identical figure statistics to the single-threaded run -- here
 # with the two placement extremes (K=1, and K=4 with a dedicated hub
 # shard), so both the single-barrier windows and the hub-shard
 # partition are covered. Wall clock and events/sec may differ;
 # everything else may not.
-DET1=build/BENCH_det_t1.json
-DET4=build/BENCH_det_t4.json
-./build/bench_perf_hotpath --config multicast-owner-group-par \
-    --measure 100000 --warmup 10000 --threads 1 --out "$DET1" \
-    > /dev/null
-./build/bench_perf_hotpath --config multicast-owner-group-par \
-    --measure 100000 --warmup 10000 --threads 4 --hub-shard \
-    --out "$DET4" > /dev/null
-validate_bench_json "$DET1"
-validate_bench_json "$DET4"
 extract_det() {
     awk -F: '
         /"events"|"misses"|"retries"|"traffic_bytes"|"avg_miss_latency_ns"|"sim_runtime_ms"|"l0_hit_rate"|"touched_words_per_access"/ {
@@ -325,24 +316,47 @@ extract_det() {
             print $1, $2
         }' "$1"
 }
-# Guard the guard: if the JSON field names ever drift, the extraction
-# would compare two empty streams and "pass" while checking nothing.
 DET_FIELDS=8
-for f in "$DET1" "$DET4"; do
-    n="$(extract_det "$f" | wc -l)"
-    if [[ "$n" -ne "$DET_FIELDS" ]]; then
-        echo "check.sh: determinism extraction found $n/$DET_FIELDS" \
-             "stat fields in $f -- extractor out of sync with the" \
-             "bench JSON" >&2
+# det_cross_check LABEL PREFIX CONFIG [bench args...]: run CONFIG with
+# --threads 1 and with --threads 4 --hub-shard (an explicit --threads
+# shards whichever config --config selects) and diff the figures.
+det_cross_check() {
+    local label="$1" one="$2_t1.json" four="$2_t4.json" config="$3"
+    shift 3
+    ./build/bench_perf_hotpath --config "$config" "$@" --threads 1 \
+        --out "$one" > /dev/null
+    ./build/bench_perf_hotpath --config "$config" "$@" --threads 4 \
+        --hub-shard --out "$four" > /dev/null
+    validate_bench_json "$one"
+    validate_bench_json "$four"
+    # Guard the guard: if the JSON field names ever drift, the
+    # extraction would compare two empty streams and "pass" while
+    # checking nothing; and a run that silently stayed on one shard
+    # would compare K=1 with itself.
+    local f n
+    for f in "$one" "$four"; do
+        n="$(extract_det "$f" | wc -l)"
+        if [[ "$n" -ne "$DET_FIELDS" ]]; then
+            echo "check.sh: determinism extraction found" \
+                 "$n/$DET_FIELDS stat fields in $f -- extractor out" \
+                 "of sync with the bench JSON" >&2
+            exit 1
+        fi
+    done
+    if ! grep -q '"threads": 4,' "$four"; then
+        echo "check.sh: $label: the --threads 4 run did not run on" \
+             "4 shards (see $four)" >&2
         exit 1
     fi
-done
-if ! diff <(extract_det "$DET1") <(extract_det "$DET4"); then
-    echo "check.sh: DETERMINISM FAILURE -- --threads 4 diverged from" \
-         "--threads 1 on multicast-owner-group-par (see diff above)" >&2
-    exit 1
-fi
-echo "determinism: --threads 1 == --threads 4 on all figure stats"
+    if ! diff <(extract_det "$one") <(extract_det "$four"); then
+        echo "check.sh: DETERMINISM FAILURE -- $label: --threads 4" \
+             "diverged from --threads 1 (see diff above)" >&2
+        exit 1
+    fi
+    echo "determinism: $label, --threads 1 == --threads 4"
+}
+det_cross_check "16-node multicast-owner-group-par" build/BENCH_det \
+    multicast-owner-group-par --measure 100000 --warmup 10000
 
 # 64-node scaling smoke: the same determinism contract on a larger
 # hierarchical machine -- 64 nodes in 4 clusters of 16 behind
@@ -350,35 +364,17 @@ echo "determinism: --threads 1 == --threads 4 on all figure stats"
 # configs/fig6_scaling.conf shape, docs/machine_topology.md). This
 # exercises the parameterized topology, multi-hub ordering, and the
 # 64-node txn-id/oracle-buffer regressions end to end in CI without
-# paying for a full scaling sweep.
-DET64_1=build/BENCH_det64_t1.json
-DET64_4=build/BENCH_det64_t4.json
-./build/bench_perf_hotpath --config multicast-owner-group-par \
+# paying for a full scaling sweep. Twice: under multicast, and under
+# broadcast snooping, where most of every fan-out's 63 deliveries are
+# passive and each shard's deliveries ride one uncapped fused chain.
+det_cross_check "64-node 4-hub hierarchical multicast" \
+    build/BENCH_det64 multicast-owner-group-par \
     --nodes 64 --hubs 4 --cluster 16 --switch-ns 15 \
-    --measure 20000 --warmup 5000 --threads 1 --out "$DET64_1" \
-    > /dev/null
-./build/bench_perf_hotpath --config multicast-owner-group-par \
+    --measure 20000 --warmup 5000
+det_cross_check "64-node 4-hub hierarchical snooping" \
+    build/BENCH_dets64 snooping \
     --nodes 64 --hubs 4 --cluster 16 --switch-ns 15 \
-    --measure 20000 --warmup 5000 --threads 4 --hub-shard \
-    --out "$DET64_4" > /dev/null
-validate_bench_json "$DET64_1"
-validate_bench_json "$DET64_4"
-for f in "$DET64_1" "$DET64_4"; do
-    n="$(extract_det "$f" | wc -l)"
-    if [[ "$n" -ne "$DET_FIELDS" ]]; then
-        echo "check.sh: 64-node determinism extraction found" \
-             "$n/$DET_FIELDS stat fields in $f -- extractor out of" \
-             "sync with the bench JSON" >&2
-        exit 1
-    fi
-done
-if ! diff <(extract_det "$DET64_1") <(extract_det "$DET64_4"); then
-    echo "check.sh: DETERMINISM FAILURE -- 64-node hierarchical" \
-         "--threads 4 diverged from --threads 1 (see diff above)" >&2
-    exit 1
-fi
-echo "determinism: 64-node 4-hub hierarchical machine," \
-     "--threads 1 == --threads 4"
+    --measure 20000 --warmup 5000
 
 # Refuse to install a fresh baseline that lost configs (e.g. a bench
 # crash after a partial write): the perf guard would silently stop

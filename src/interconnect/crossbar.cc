@@ -151,59 +151,56 @@ struct OrderedCrossbar::DeliverEvent final : Event {
 };
 
 /**
- * One fan-out's deliveries bound for one shard queue. Every hop
- * shares the fan-out's delivery tick and carries the key the unfused
- * fan-out would have assigned it, so the calendar sees one insert and
- * one pop where it used to see one per destination; the later hops
- * execute inline through chainAdvance (which refuses -- and the chain
- * re-inserts itself -- whenever an unrelated event orders between two
- * hops or the window ends, reproducing the unfused total order
- * exactly).
+ * One fan-out's deliveries bound for one shard queue, however many.
+ * The chain walks the payload's destination set from a cursor,
+ * stopping only at destinations its shard owns. Every hop shares the
+ * fan-out's delivery tick and carries the key the unfused fan-out
+ * would have assigned it -- the fan-out's first key plus the hop's
+ * rank among the destinations (the source excluded) -- so the
+ * calendar sees one insert and one pop per shard where it used to
+ * see one per destination. Later hops execute inline through
+ * chainAdvance, which refuses whenever an unrelated event orders
+ * between two hops or the window ends; the chain then re-inserts
+ * itself at the refused hop's coordinates, reproducing the unfused
+ * total order exactly.
  */
 struct OrderedCrossbar::ChainEvent final : Event {
-    /** Hops per chain; larger fan-outs split into several chains
-     *  (still one insert+pop per maxHops destinations). */
-    static constexpr unsigned maxHops = 8;
-
-    struct Hop {
-        NodeId dest;
-        std::uint64_t key;
-        std::uint16_t domain;
-    };
-
-    ChainEvent(OrderedCrossbar &x, const MessageRef &m, Tick w)
-        : xbar(x), msg(m), when(w)
+    ChainEvent(OrderedCrossbar &x, const MessageRef &m, Tick w,
+               std::uint64_t first_key, NodeId first,
+               std::uint32_t first_rank, NodeId last_dest)
+        : xbar(x), msg(m), when(w), firstKey(first_key), dest(first),
+          rank(first_rank), last(last_dest),
+          shard(x.nodes_[first].port.shard())
     {
     }
 
+    /** Move a (destination, rank) cursor to the next destination
+     *  this chain's shard owns; never called at `last`. */
     void
-    addHop(NodeId dest, std::uint64_t key, std::uint16_t domain,
-           const EventQueue *q)
+    step(NodeId &d, std::uint32_t &r) const
     {
-        dsp_assert(count < maxHops, "chain overflow");
-        // The fusion-legality contract: every hop of a chain must be
-        // owned by the one shard queue the chain is scheduled on.
-        dsp_assert(queue == nullptr || queue == q,
-                   "fused chain spans shard queues");
-        queue = q;
-        hops[count++] = Hop{dest, key, domain};
+        const NodeId src = msg->src;
+        do {
+            d = msg->dests.nextAfter(d);
+            if (d != src)
+                ++r;
+        } while (d == src || xbar.nodes_[d].port.shard() != shard);
     }
 
     void
     process() override
     {
         for (;;) {
-            xbar.arriveAtDest(msg, hops[next].dest, when);
-            ++next;
-            if (next == count)
+            xbar.arriveAtDest(msg, dest, when);
+            if (dest == last)
                 return;  // the queue releases us
-            const Hop &hop = hops[next];
-            DomainPort &port = xbar.nodes_[hop.dest].port;
-            if (!port.queue().chainAdvance(when, hop.key,
-                                           hop.domain)) {
+            step(dest, rank);
+            DomainPort &port = xbar.nodes_[dest].port;
+            const std::uint64_t key = firstKey + rank;
+            if (!port.queue().chainAdvance(when, key, port.domain())) {
                 // Something orders before this hop (or the window
                 // ends here): hand the rest back to the calendar.
-                port.scheduleKeyed(*this, when, hop.key);
+                port.scheduleKeyed(*this, when, key);
                 return;
             }
         }
@@ -218,26 +215,40 @@ struct OrderedCrossbar::ChainEvent final : Event {
     void
     ckptSave(ckpt::Writer &w) const override
     {
-        // Only the hops still to run; restore re-splits them into
-        // plain deliveries (see ckptRestoreChain).
+        // Only the hops still to run, as explicit (dest, key, domain)
+        // triples; restore re-splits them into plain deliveries (see
+        // ckptRestoreChain).
         w.u8(static_cast<std::uint8_t>(ckpt::EventTag::XbarChain));
         w.pod(*msg);
         w.u64(when);
-        w.u32(count - next);
-        for (unsigned i = next; i < count; ++i) {
-            w.u32(hops[i].dest);
-            w.u64(hops[i].key);
-            w.u16(hops[i].domain);
+        NodeId d = dest;
+        std::uint32_t r = rank;
+        std::uint32_t remaining = 1;
+        while (d != last) {
+            step(d, r);
+            ++remaining;
+        }
+        w.u32(remaining);
+        d = dest;
+        r = rank;
+        for (;;) {
+            w.u32(d);
+            w.u64(firstKey + r);
+            w.u16(xbar.nodes_[d].port.domain());
+            if (d == last)
+                break;
+            step(d, r);
         }
     }
 
     OrderedCrossbar &xbar;
     MessageRef msg;
     Tick when;
-    unsigned next = 0;
-    unsigned count = 0;
-    const EventQueue *queue = nullptr;
-    std::array<Hop, maxHops> hops;
+    std::uint64_t firstKey;  ///< the fan-out's rank-0 key
+    NodeId dest;             ///< cursor: the next hop to run
+    std::uint32_t rank;      ///< the cursor's rank
+    NodeId last;             ///< this chain's final hop
+    unsigned shard;
 };
 
 OrderedCrossbar::OrderedCrossbar(std::vector<DomainPort> hub_ports,
@@ -262,8 +273,18 @@ OrderedCrossbar::OrderedCrossbar(std::vector<DomainPort> hub_ports,
     for (std::size_t h = 0; h < hub_ports.size(); ++h)
         hubs_[h].port = hub_ports[h];
     nodes_.resize(node_ports.size());
-    for (std::size_t n = 0; n < node_ports.size(); ++n)
+    // Fused fan-outs group destinations by shard index, so every
+    // port of one shard index must schedule into one queue (always
+    // true of kernel ports; standalone ports all report shard 0).
+    std::array<const EventQueue *, ShardedKernel::maxShards> queues{};
+    for (std::size_t n = 0; n < node_ports.size(); ++n) {
         nodes_[n].port = node_ports[n];
+        const EventQueue *&q = queues[node_ports[n].shard()];
+        dsp_assert(q == nullptr || q == &node_ports[n].queue(),
+                   "node ports of shard %u span event queues",
+                   node_ports[n].shard());
+        q = &node_ports[n].queue();
+    }
 }
 
 namespace {
@@ -296,6 +317,14 @@ OrderedCrossbar::setDeliverHandler(DeliverHandler handler)
 }
 
 void
+OrderedCrossbar::setPassiveFilter(PassiveFilter filter,
+                                  const void *ctx)
+{
+    passive_ = filter;
+    passiveCtx_ = ctx;
+}
+
+void
 OrderedCrossbar::scheduleDelivery(const MessageRef &msg, NodeId dest,
                                   Tick when, bool booked)
 {
@@ -317,6 +346,15 @@ OrderedCrossbar::ingressArrival(const MessageRef &msg, NodeId dest,
     // the occupancy only delays *later* messages on the same link.
     Tick start = std::max(now, node.ingressFree);
     node.ingressFree = start + occupancyOf(msg->kind);
+    // A passive delivery has done all it ever does: it occupied the
+    // link and was counted. No handler call, and no refire -- unless
+    // the refire would cross the window boundary: the events pending
+    // at a barrier steer the window plan (and so where phases and
+    // checkpoints stop), and must not depend on this shortcut.
+    if (passive_ != nullptr && node.port.queue().withinRun(start) &&
+        passive_(passiveCtx_, *msg, dest)) {
+        return maxTick;
+    }
     if (start > now)
         return start;
     if (onDeliver_)
@@ -357,110 +395,67 @@ OrderedCrossbar::orderAndFanOut(const MessageRef &msg, Tick order)
 void
 OrderedCrossbar::fanOutFused(const MessageRef &msg, Tick deliver)
 {
-    // Keys are allocated in destination order, exactly as the unfused
-    // fan-out would allocate them, then hops are grouped by owning
-    // shard queue in first-appearance order. A group of one stays a
-    // plain keyed delivery; a larger group becomes a ChainEvent -- one
-    // calendar insert+pop for up to maxHops same-tick deliveries. The
-    // grouping never changes behaviour (every hop keeps its unfused
-    // (tick, key) coordinates), only how many calendar operations
-    // carry the fan-out.
+    // Destinations (the source excluded) are ranked in ascending
+    // order, and the whole fan-out takes its keys as one range: hop
+    // `rank` carries the first key plus its rank -- exactly the key
+    // the unfused fan-out's per-destination schedule() would assign.
+    // Hops are then grouped by owning shard queue in first-appearance
+    // order. A group of one stays a plain keyed delivery; a larger
+    // group becomes one ChainEvent walking its members from the first
+    // to the last. The grouping never changes behaviour (every hop
+    // keeps its unfused (tick, key) coordinates), only how many
+    // calendar operations carry the fan-out.
     struct Group {
-        const EventQueue *queue;
-        ChainEvent *chain;
-        NodeId firstDest;
-        std::uint64_t firstKey;
-        std::uint16_t firstDomain;
+        NodeId first;
+        NodeId last;
+        std::uint32_t firstRank;
     };
-    // One slot per distinct shard queue among the destinations; a
-    // fan-out can touch at most one queue per shard. Deliberately
-    // uninitialized: zeroing all 64 slots per fan-out costs more than
-    // the fusion saves on small destination sets, and every field of
-    // a slot is written when the slot is claimed.
-    Group groups[64];
-    std::size_t numGroups = 0;
-    constexpr std::size_t maxGroups = sizeof(groups) / sizeof(groups[0]);
+    // One slot per shard index, valid once its bit in `seen` is set.
+    // Deliberately uninitialized: zeroing every slot per fan-out costs
+    // more than the fusion saves on small destination sets, and a
+    // slot is fully written when it is claimed.
+    Group groups[ShardedKernel::maxShards];
+    unsigned order[ShardedKernel::maxShards];
+    std::uint64_t seen = 0;
+    unsigned numGroups = 0;
+    std::uint32_t rank = 0;
 
     const NodeId src = msg->src;
     msg->dests.forEach([&](NodeId dest) {
         if (dest == src)
             return;
-        DomainPort &port = nodes_[dest].port;
-        const std::uint64_t key =
-            port.allocKey(EventPriority::Delivery);
-        const EventQueue *q = &port.queue();
-
-        Group *g = nullptr;
-        for (std::size_t i = 0; i < numGroups; ++i) {
-            if (groups[i].queue == q) {
-                g = &groups[i];
-                break;
-            }
-        }
-        if (!g) {
-            if (numGroups == maxGroups) {
-                // More distinct queues than slots (never in practice:
-                // it needs > 64 shards in one fan-out). Degrade to a
-                // plain delivery; coordinates are unchanged.
-                scheduleKeyedDelivery(msg, dest, deliver, key);
-                return;
-            }
-            g = &groups[numGroups++];
-            g->queue = q;
-            g->chain = nullptr;
-            g->firstDest = dest;
-            g->firstKey = key;
-            g->firstDomain = port.domain();
-            return;
-        }
-        if (g->chain && g->chain->count == ChainEvent::maxHops) {
-            // Chain full: commit it and let this hop seed the next
-            // chain on the same queue.
-            scheduleChain(*g->chain, deliver);
-            g->chain = nullptr;
-            g->firstDest = dest;
-            g->firstKey = key;
-            g->firstDomain = port.domain();
-            return;
-        }
-        if (!g->chain) {
-            g->chain = EventPool<ChainEvent>::instance().acquire(
-                *this, msg, deliver);
-            g->chain->addHop(g->firstDest, g->firstKey,
-                             g->firstDomain, q);
-        }
-        g->chain->addHop(dest, key, port.domain(), q);
-    });
-
-    for (std::size_t i = 0; i < numGroups; ++i) {
-        Group &g = groups[i];
-        if (g.chain) {
-            scheduleChain(*g.chain, deliver);
+        const unsigned s = nodes_[dest].port.shard();
+        if ((seen >> s) & 1) {
+            groups[s].last = dest;
         } else {
-            scheduleKeyedDelivery(msg, g.firstDest, deliver,
-                                  g.firstKey);
+            seen |= std::uint64_t{1} << s;
+            order[numGroups++] = s;
+            groups[s] = Group{dest, dest, rank};
         }
+        ++rank;
+    });
+    if (rank == 0)
+        return;
+
+    const std::uint64_t firstKey =
+        nodes_[groups[order[0]].first].port.allocKeys(
+            EventPriority::Delivery, rank);
+    for (unsigned i = 0; i < numGroups; ++i) {
+        const Group &g = groups[order[i]];
+        Event *ev;
+        if (g.first == g.last) {
+            ev = EventPool<DeliverEvent>::instance().acquire(
+                *this, msg, g.first, deliver, false);
+        } else {
+            ev = EventPool<ChainEvent>::instance().acquire(
+                *this, msg, deliver, firstKey, g.first, g.firstRank,
+                g.last);
+        }
+        // The chain pops at its first hop's coordinates; later hops
+        // run inline from there (or re-insert it at their own key).
+        nodes_[g.first].port.scheduleKeyed(*ev, deliver,
+                                           firstKey + g.firstRank);
     }
-}
-
-void
-OrderedCrossbar::scheduleKeyedDelivery(const MessageRef &msg,
-                                       NodeId dest, Tick when,
-                                       std::uint64_t key)
-{
-    nodes_[dest].port.scheduleKeyed(
-        *EventPool<DeliverEvent>::instance().acquire(*this, msg, dest,
-                                                     when, false),
-        when, key);
-}
-
-void
-OrderedCrossbar::scheduleChain(ChainEvent &chain, Tick deliver)
-{
-    // The chain pops at its first hop's coordinates; later hops run
-    // inline from there (or re-insert the chain at their own key).
-    const ChainEvent::Hop &head = chain.hops[0];
-    nodes_[head.dest].port.scheduleKeyed(chain, deliver, head.key);
 }
 
 void

@@ -81,7 +81,12 @@ struct TrafficStats {
  * The interconnect. The owner (System) installs two callbacks:
  * onOrder fires once per ordered message at its serialization tick
  * (where the functional coherence transaction is applied), and
- * onDeliver fires per (message, destination) at its delivery tick.
+ * onDeliver fires per (message, destination) at its delivery tick --
+ * unless the optional passive filter says the delivery would be a
+ * no-op for that destination (docs/machine_topology.md, "Passive
+ * deliveries"): a passive delivery still books the ingress link and
+ * counts its traffic, but gets no handler call and, on a busy link,
+ * no refire (unless the refire would cross the kernel window).
  *
  * The order handler receives the shared payload handle so the owner
  * can stamp the transaction echo into it (it is still exclusive at
@@ -95,6 +100,11 @@ class OrderedCrossbar
     using OrderHandler = std::function<void(const MessageRef &, Tick)>;
     using DeliverHandler =
         std::function<void(const Message &, NodeId, Tick)>;
+    /** True when delivering the message to `dest` would change
+     *  nothing at `dest`; called with the context it was installed
+     *  with. A plain function pointer: it runs on every arrival. */
+    using PassiveFilter = bool (*)(const void *ctx, const Message &,
+                                   NodeId dest);
 
     /**
      * Sharded-kernel form: `hub_ports` are the ordering points'
@@ -111,6 +121,9 @@ class OrderedCrossbar
 
     void setOrderHandler(OrderHandler handler);
     void setDeliverHandler(DeliverHandler handler);
+
+    /** Install (or, with nullptr, remove) the passive filter. */
+    void setPassiveFilter(PassiveFilter filter, const void *ctx);
 
     /**
      * Send an ordered multicast (Request/Retry). The message moves
@@ -164,13 +177,14 @@ class OrderedCrossbar
 
     /**
      * Reconstruct an in-flight fused hop chain by re-splitting it:
-     * the remaining hops become plain deliveries carrying their
-     * original (when, key, domain) coordinates -- hops after the
-     * first are scheduled through `kernel` here, the first is
-     * returned for the caller's pending-event loop. Splitting keeps
-     * snapshots portable across shard counts (a chain requires all
-     * its hops on one shard queue, which a different K need not
-     * honor); later fan-outs simply re-fuse.
+     * the remaining hops (saved as explicit (dest, key, domain)
+     * triples) become plain deliveries carrying their original
+     * coordinates -- hops after the first are scheduled through
+     * `kernel` here, the first is returned for the caller's
+     * pending-event loop. Splitting keeps snapshots portable across
+     * shard counts (a chain requires all its hops on one shard
+     * queue, which a different K need not honor); later fan-outs
+     * simply re-fuse.
      */
     Event &ckptRestoreChain(ckpt::Reader &r, ShardedKernel &kernel);
 
@@ -184,9 +198,10 @@ class OrderedCrossbar
      *  refires at the link-free tick. */
     struct DeliverEvent;
 
-    /** Pooled event: one fan-out's deliveries bound for one shard
-     *  queue, all at one tick; later hops execute inline via
-     *  EventQueue::chainAdvance with their pre-assigned keys. */
+    /** Pooled event: all of one fan-out's deliveries bound for one
+     *  shard queue, at one tick; later hops execute inline via
+     *  EventQueue::chainAdvance with keys derived from the fan-out's
+     *  key range. */
     struct ChainEvent;
 
     static constexpr std::size_t numKinds = 7;
@@ -227,33 +242,26 @@ class OrderedCrossbar
      *  destinations; all of them share the one pooled payload. */
     void orderAndFanOut(const MessageRef &msg, Tick order);
 
-    /** The fused fan-out: one ChainEvent per destination shard queue
-     *  (singleton groups stay plain deliveries), with per-hop keys
-     *  allocated in destination order so the key stream is identical
-     *  to the unfused fan-out's. */
+    /** The fused fan-out: one key range for all destinations, and
+     *  one ChainEvent per destination shard queue (singleton groups
+     *  stay plain deliveries); the key stream is identical to the
+     *  unfused fan-out's. */
     void fanOutFused(const MessageRef &msg, Tick deliver);
 
     /** First arrival of a delivery at `dest`: count it, book the
      *  ingress link, and either fire the handler or refire at the
-     *  contended tick. */
+     *  contended tick (see ingressArrival for passive deliveries). */
     void arriveAtDest(const MessageRef &msg, NodeId dest, Tick now);
 
     /** Arrival bookkeeping shared by all delivery shapes: count the
      *  traffic, book the ingress link, and deliver if the link is
-     *  free. Returns maxTick when delivered, else the contended start
-     *  tick the caller must refire at (the link is already booked). */
+     *  free. Returns maxTick when delivered (or passive and done),
+     *  else the contended start tick the caller must refire at (the
+     *  link is already booked). */
     Tick ingressArrival(const MessageRef &msg, NodeId dest, Tick now);
 
     void scheduleDelivery(const MessageRef &msg, NodeId dest,
                           Tick when, bool booked);
-
-    /** Schedule an unbooked delivery at a pre-allocated key (fused
-     *  fan-out singletons and chain-capacity spill). */
-    void scheduleKeyedDelivery(const MessageRef &msg, NodeId dest,
-                               Tick when, std::uint64_t key);
-
-    /** Insert a completed chain at its first hop's coordinates. */
-    void scheduleChain(ChainEvent &chain, Tick deliver);
 
     CrossbarParams params_;
     Topology topo_;
@@ -263,6 +271,8 @@ class OrderedCrossbar
 
     OrderHandler onOrder_;
     DeliverHandler onDeliver_;
+    PassiveFilter passive_ = nullptr;
+    const void *passiveCtx_ = nullptr;
 
     std::vector<HubState> hubs_;
     std::vector<NodeState> nodes_;

@@ -218,6 +218,24 @@ class DestinationSet
         }
     }
 
+    /** Smallest member greater than `after`, or maxNodes if none (a
+     *  cursor-style forEach: fused hop chains resume a walk here). */
+    constexpr NodeId
+    nextAfter(NodeId after) const
+    {
+        const unsigned from = after + 1;
+        unsigned w = from >> 6;
+        if (w >= wordCount)
+            return maxNodes;
+        std::uint64_t m = words_[w] & (~std::uint64_t{0} << (from & 63));
+        while (m == 0) {
+            if (++w == wordCount)
+                return maxNodes;
+            m = words_[w];
+        }
+        return static_cast<NodeId>((w << 6) + std::countr_zero(m));
+    }
+
     /** Render like "{0,3,7}" for debugging. */
     std::string
     toString() const

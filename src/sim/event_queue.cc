@@ -82,14 +82,17 @@ EventQueue::schedule(Event &ev, Tick when, EventPriority prio)
 }
 
 std::uint64_t
-EventQueue::allocKey(EventPriority prio)
+EventQueue::allocKeys(EventPriority prio, std::uint64_t n)
 {
     const auto prio_bits = static_cast<std::uint64_t>(prio);
     dsp_assert(prio_bits < 256, "priority %d does not fit the packed "
                                 "tiebreak key",
                static_cast<int>(prio));
-    dsp_assert(nextSeq_ <= seqMask, "insertion sequence overflow");
-    return (prio_bits << seqBits) | nextSeq_++;
+    dsp_assert(n >= 1 && n - 1 <= seqMask - nextSeq_,
+               "insertion sequence overflow");
+    const std::uint64_t first = (prio_bits << seqBits) | nextSeq_;
+    nextSeq_ += n;
+    return first;
 }
 
 void

@@ -127,7 +127,14 @@ class EventQueue
      * pre-assigns hop keys with this so a fused run's key stream is
      * bit-identical to the unfused one; pair with scheduleWithKey().
      */
-    std::uint64_t allocKey(EventPriority prio);
+    std::uint64_t allocKey(EventPriority prio) { return allocKeys(prio, 1); }
+
+    /**
+     * Allocate `n` (>= 1) consecutive keys at once and return the
+     * first: exactly the keys `n` allocKey() calls would return, as
+     * one contiguous range (key i is the first plus i).
+     */
+    std::uint64_t allocKeys(EventPriority prio, std::uint64_t n);
 
     /**
      * Inline-advance to a fused chain hop at (when, key): legal only
@@ -142,6 +149,11 @@ class EventQueue
      */
     bool chainAdvance(Tick when, std::uint64_t key,
                       std::uint16_t domain);
+
+    /** True when an event at `when` would still execute inside the
+     *  run() in progress, before the window boundary the scheduler
+     *  planned around (always true outside run()). */
+    bool withinRun(Tick when) const { return when <= runLimit_; }
 
     /** Calendar work over the queue's lifetime: schedule insertions
      *  plus executed pops. Fused chain hops skip both planes, so this

@@ -62,11 +62,11 @@ DomainPort::schedule(Event &ev, Tick when, EventPriority prio)
 }
 
 std::uint64_t
-DomainPort::allocKey(EventPriority prio)
+DomainPort::allocKeys(EventPriority prio, std::uint64_t n)
 {
     if (kernel_ == nullptr)
-        return queue_->allocKey(prio);
-    return kernel_->allocKeyFor(domain_, prio);
+        return queue_->allocKeys(prio, n);
+    return kernel_->allocKeysFor(domain_, prio, n);
 }
 
 void
@@ -99,7 +99,7 @@ ShardedKernel::ShardedKernel(unsigned num_shards,
       lookahead_(lookahead),
       barrier_(num_shards)
 {
-    dsp_assert(numShards_ >= 1 && numShards_ <= 64,
+    dsp_assert(numShards_ >= 1 && numShards_ <= maxShards,
                "bad shard count %u", numShards_);
     dsp_assert(lookahead_ > 0, "lookahead must be positive");
     dsp_assert(domainShard_.size() >= 2 &&
@@ -151,11 +151,10 @@ ShardedKernel::~ShardedKernel()
 }
 
 void
-ShardedKernel::dsp_assert_key_seq(std::uint64_t seq)
+ShardedKernel::keySeqOverflow()
 {
-    dsp_assert(seq < (std::uint64_t{1} << seqBits),
-               "per-domain sequence overflowed its %u key bits",
-               static_cast<unsigned>(seqBits));
+    dsp_panic("per-domain sequence overflowed its %u key bits",
+              static_cast<unsigned>(seqBits));
 }
 
 DomainPort
@@ -204,21 +203,27 @@ ShardedKernel::scheduleOn(std::uint16_t domain, unsigned target_shard,
 }
 
 std::uint64_t
-ShardedKernel::allocKeyFor(std::uint16_t target_domain,
-                           EventPriority prio)
+ShardedKernel::allocKeysFor(std::uint16_t target_domain,
+                            EventPriority prio, std::uint64_t n)
 {
+    dsp_assert(n >= 1, "empty key range");
     const ExecContext &ctx = execContext();
-    if (ctx.kernel != this) {
-        return packKey(prio, bootDomain,
-                       domainSeq_[bootDomain].next++);
+    std::uint16_t sender = bootDomain;
+    if (ctx.kernel == this) {
+        Shard &from = *shards_[ctx.shard];
+        sender = from.curDomain;
+        // Mirror scheduleOn()'s accounting exactly: each pre-assigned
+        // key still represents one (possibly cross-domain) send, and
+        // batched-window truncation must not notice whether a run
+        // fuses.
+        from.crossDomainSends += sender != target_domain ? n : 0;
     }
-    Shard &from = *shards_[ctx.shard];
-    std::uint16_t sender = from.curDomain;
-    // Mirror scheduleOn()'s accounting exactly: a pre-assigned key
-    // still represents one (possibly cross-domain) send, and batched
-    // -window truncation must not notice whether a run fuses.
-    from.crossDomainSends += sender != target_domain ? 1 : 0;
-    return packKey(prio, sender, domainSeq_[sender].next++);
+    std::uint64_t &next = domainSeq_[sender].next;
+    const std::uint64_t first = packKey(prio, sender, next);
+    next += n;
+    if ((next - 1) >> seqBits) [[unlikely]]
+        keySeqOverflow();  // the range's last key would not fit
+    return first;
 }
 
 void

@@ -132,7 +132,16 @@ class DomainPort
      * truncation stays identical to an unfused run). Chain fusion
      * pre-assigns per-hop keys with this; pair with scheduleKeyed().
      */
-    std::uint64_t allocKey(EventPriority prio);
+    std::uint64_t allocKey(EventPriority prio) { return allocKeys(prio, 1); }
+
+    /**
+     * Allocate `n` (>= 1) keys in one call and return the first: the
+     * same keys, and the same cross-domain-send accounting, as `n`
+     * allocKey() calls through this port -- key i is the first plus
+     * i. A fan-out takes its whole per-destination key range with
+     * one call.
+     */
+    std::uint64_t allocKeys(EventPriority prio, std::uint64_t n);
 
     /** Schedule with a key previously produced by allocKey(); routes
      *  through the same mailbox/direct-insert paths as schedule(). */
@@ -142,6 +151,9 @@ class DomainPort
     EventQueue &queue() const { return *queue_; }
 
     std::uint16_t domain() const { return domain_; }
+
+    /** Shard owning this port's domain (0 in standalone mode). */
+    unsigned shard() const { return shard_; }
 
   private:
     EventQueue *queue_ = nullptr;
@@ -169,8 +181,12 @@ class ShardedKernel
     static constexpr std::uint16_t maxDomains = 1022;
     static constexpr std::uint16_t bootDomain = 1023;
 
+    /** Most shards a kernel runs (a shard index fits a byte, and a
+     *  fan-out groups its destinations in one slot per shard). */
+    static constexpr unsigned maxShards = 64;
+
     /**
-     * @param num_shards   host-parallel shards (>= 1)
+     * @param num_shards   host-parallel shards (1..maxShards)
      * @param domain_shard shard of each domain; index 0 unused,
      *                     size() == numDomains + 1
      * @param lookahead    minimum cross-domain latency in ticks (> 0);
@@ -353,19 +369,20 @@ class ShardedKernel
     packKey(EventPriority prio, std::uint16_t domain,
             std::uint64_t seq)
     {
-        dsp_assert_key_seq(seq);
+        if (seq >> seqBits) [[unlikely]]
+            keySeqOverflow();
         return (static_cast<std::uint64_t>(prio) << 56) |
                (static_cast<std::uint64_t>(domain) << seqBits) | seq;
     }
 
     /** Out-of-line so logging.hh stays out of this header. */
-    static void dsp_assert_key_seq(std::uint64_t seq);
+    [[noreturn]] static void keySeqOverflow();
 
     void scheduleOn(std::uint16_t domain, unsigned target_shard,
                     Event &ev, Tick when, EventPriority prio);
 
-    std::uint64_t allocKeyFor(std::uint16_t target_domain,
-                              EventPriority prio);
+    std::uint64_t allocKeysFor(std::uint16_t target_domain,
+                               EventPriority prio, std::uint64_t n);
 
     void scheduleKeyedOn(std::uint16_t domain, unsigned target_shard,
                          Event &ev, Tick when, std::uint64_t key);
@@ -461,6 +478,15 @@ class ShardedKernel
 
     /** Windows that rode along in a batch without their own crossing. */
     std::uint64_t batchedWindows() const { return batchedWindows_; }
+
+    /** Cross-domain sends `shard` has counted since its last batched
+     *  window began (the batch-truncation signal). Read it on that
+     *  shard's own thread or while the kernel is quiescent. */
+    std::uint64_t
+    crossDomainSends(unsigned shard) const
+    {
+        return shards_[shard]->crossDomainSends;
+    }
 
     /**
      * Test-only fault injection for the progress watchdog: lower the

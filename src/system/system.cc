@@ -1,5 +1,6 @@
 #include "system/system.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -31,10 +32,9 @@ toString(ProtocolKind kind)
 unsigned
 System::shardCountFor(const SystemParams &params)
 {
-    unsigned shards = params.shards == 0 ? 1 : params.shards;
-    if (shards > params.nodes)
-        shards = params.nodes;
-    return shards;
+    unsigned ceiling = std::min<unsigned>(params.nodes,
+                                          ShardedKernel::maxShards);
+    return std::clamp(params.shards, 1u, ceiling);
 }
 
 std::vector<unsigned>
@@ -173,6 +173,16 @@ System::System(Workload &workload, const SystemParams &params)
         [this](const Message &msg, NodeId dest, Tick tick) {
             onDeliver(msg, dest, tick);
         });
+    // Multicast has no passive deliveries; leave its arrivals
+    // unfiltered rather than ask on every one.
+    if (params_.protocol != ProtocolKind::Multicast) {
+        crossbar_.setPassiveFilter(
+            [](const void *self, const Message &msg, NodeId dest) {
+                return static_cast<const System *>(self)
+                    ->passiveDelivery(msg, dest);
+            },
+            this);
+    }
 }
 
 System::~System() = default;
@@ -547,12 +557,35 @@ System::orderWithReorderMutation(Message &msg, BlockId block,
     return true;
 }
 
+bool
+System::passiveDelivery(const Message &msg, NodeId dest) const
+{
+    if (!isOrdered(msg.kind) ||
+        params_.protocol == ProtocolKind::Multicast) {
+        return false;
+    }
+    const TxnEcho &echo = msg.echo;
+    if (dest == echo.requester || dest == homeOf_(msg.block()))
+        return false;
+    // Only the resolving attempt carries snoop duties (see
+    // CacheController::onSnoop): supply from the responder, and
+    // invalidation at every sharer a GETX requires -- the only
+    // deliveries the oracle's recordInvalDue witnesses.
+    if (!echo.resolved || echo.resolvedAttempt != msg.attempt)
+        return true;
+    return dest != echo.responder &&
+           !(msg.type == RequestType::GetExclusive &&
+             echo.required.contains(dest));
+}
+
 void
 System::onDeliver(const Message &msg, NodeId dest, Tick tick)
 {
     switch (msg.kind) {
       case MessageKind::Request:
       case MessageKind::Retry: {
+        if (passiveDelivery(msg, dest))
+            break;
         const TxnEcho &echo = msg.echo;
 
         // Oracle witness: this delivery obliges `dest` to invalidate

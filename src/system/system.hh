@@ -129,7 +129,9 @@ struct SystemParams {
      * Kernel shards (host threads). The node set is partitioned into
      * contiguous groups, one per shard; the ordering point rides with
      * shard 0. Any value produces bit-identical statistics; values
-     * above 1 use host cores. Clamped to [1, nodes].
+     * above 1 use host cores. Clamped to [1, min(nodes, 64)], 64
+     * being the kernel's ceiling (ShardedKernel::maxShards); see
+     * System::shardCountFor().
      */
     unsigned shards = 1;
 
@@ -437,6 +439,23 @@ class System
      *  cannot masquerade as a restore round-trip. */
     bool restoredFromCheckpoint() const { return restoredFromCkpt_; }
 
+    /** The shard count a System built from `params` runs:
+     *  params.shards clamped to [1, min(nodes, maxShards)]. */
+    static unsigned shardCountFor(const SystemParams &params);
+
+    /**
+     * True when an ordered Request/Retry delivery to `dest` would do
+     * nothing there: the protocol is not Multicast (whose every
+     * destination trains its predictor), and `dest` is neither the
+     * requester, the block's home, the resolving attempt's responder,
+     * nor a sharer a resolved GETX must invalidate. onDeliver()
+     * returns early on exactly these, and the crossbar, through the
+     * same function, skips their handler call and any refire inside
+     * the current window (docs/machine_topology.md, "Passive
+     * deliveries").
+     */
+    bool passiveDelivery(const Message &msg, NodeId dest) const;
+
   private:
     friend class CacheController;
     friend class MemoryController;
@@ -604,7 +623,6 @@ class System
     bool restoreIfRequested();
 
     // -- static construction helpers (domain/shard geometry)
-    static unsigned shardCountFor(const SystemParams &params);
     static std::vector<unsigned> domainMapFor(const SystemParams &p);
 
     /**

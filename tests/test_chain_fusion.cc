@@ -11,7 +11,13 @@
  *    contended order/delivery retries use) survives the execute()
  *    release-skip and is recycled exactly once on deschedule();
  *  - a checkpoint taken while fused chains are in flight restores to
- *    bit-identical figures at the same and a different shard count.
+ *    bit-identical figures at the same and a different shard count;
+ *  - a fused fan-out's per-hop keys equal the unfused fan-out's even
+ *    when the shard partition interleaves the destinations;
+ *  - on the 64-node hierarchical machine under broadcast snooping
+ *    (passive deliveries, one uncapped chain per shard queue), fused
+ *    equals unfused, K=1 equals K=2 and K=4, and a snapshot holding a
+ *    chain of more than 8 remaining hops restores at K=1 and K=4.
  */
 
 #include <gtest/gtest.h>
@@ -22,11 +28,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "checkpoint/checkpoint.hh"
+#include "interconnect/crossbar.hh"
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
 #include "system/system.hh"
@@ -184,6 +192,70 @@ TEST(ChainFusionEvents, SelfRescheduleSurvivesTheReleaseSkipAndDrains)
     EventPoolStats after = eventPoolStats();
     EXPECT_EQ(after.live(), before.live());
     EXPECT_EQ(after.releases - before.releases, 1u);
+}
+
+// ---- fan-out keys on a partition that interleaves shards ------------------
+
+/** Every pending delivery's key, by destination, after a 16-way
+ *  broadcast from node 0 has been ordered but not yet delivered, on a
+ *  two-shard kernel that puts even nodes on shard 0 and odd nodes on
+ *  shard 1 -- so each fused chain skips every other destination. */
+std::vector<std::uint64_t>
+pendingDeliveryKeys(bool fuse)
+{
+    constexpr NodeId nodes = 16;
+    std::vector<unsigned> map(nodes + 2, 0);  // hub: domain 17, shard 0
+    for (NodeId n = 0; n < nodes; ++n)
+        map[n + 1] = n % 2;
+    CrossbarParams params;
+    params.fuse_chains = fuse;
+    ShardedKernel kernel(2, map, nsToTicks(25.0));
+    std::vector<DomainPort> node_ports;
+    for (NodeId n = 0; n < nodes; ++n)
+        node_ports.push_back(kernel.port(static_cast<std::uint16_t>(n + 1)));
+    OrderedCrossbar xbar({kernel.port(nodes + 1)}, node_ports, params);
+
+    Message msg;
+    msg.kind = MessageKind::Request;
+    msg.src = 0;
+    msg.dests = DestinationSet::all(nodes);
+    xbar.sendOrdered(msg);
+    // The first window orders the broadcast (25 ns); stop at the next
+    // barrier, before any delivery (50 ns) runs.
+    int barriers = 0;
+    kernel.run([&barriers] { return ++barriers == 2; });
+
+    std::vector<std::uint64_t> keys(nodes, 0);
+    for (const ShardedKernel::CkptPending &p :
+         kernel.ckptCollectPending()) {
+        ckpt::Writer w;
+        p.ev->ckptSave(w);
+        ckpt::Reader r(w.buffer());
+        const auto tag = static_cast<ckpt::EventTag>(r.u8());
+        r.pod<Message>();
+        if (tag == ckpt::EventTag::XbarDeliver) {
+            keys[r.u32()] = p.key;
+            continue;
+        }
+        EXPECT_EQ(tag, ckpt::EventTag::XbarChain);
+        r.u64();
+        for (std::uint32_t hops = r.u32(); hops > 0; --hops) {
+            const NodeId dest = r.u32();
+            keys[dest] = r.u64();
+            r.u16();
+        }
+    }
+    return keys;
+}
+
+TEST(ChainFusion, FanOutKeysMatchUnfusedOnInterleavedShards)
+{
+    const std::vector<std::uint64_t> fused = pendingDeliveryKeys(true);
+    const std::vector<std::uint64_t> unfused = pendingDeliveryKeys(false);
+    EXPECT_EQ(fused[0], 0u);  // the source gets no delivery
+    for (NodeId n = 1; n < 16; ++n)
+        EXPECT_NE(unfused[n], 0u) << "node " << n;
+    EXPECT_EQ(fused, unfused);
 }
 
 // ---- system-level fusion transparency -------------------------------------
@@ -378,6 +450,129 @@ TEST(ChainFusion, CheckpointWithChainsInFlightRestoresIdentically)
         SystemStats crossed = system.run();
         ASSERT_TRUE(system.restoredFromCheckpoint());
         expectFigureEqual(crossed, full);
+    }
+}
+
+// ---- 64-node broadcast snooping -------------------------------------------
+
+/** The configs/fig6_scaling.conf machine under broadcast snooping: 64
+ *  nodes, 4 hubs, clusters of 16, 15 ns switch legs. Every snoop fans
+ *  out to 63 destinations, most of them passive. */
+SystemParams
+snoop64Params(unsigned shards, bool fuse)
+{
+    SystemParams params =
+        fusionParams(ProtocolKind::Snooping, shards, fuse);
+    params.nodes = 64;
+    params.crossbar.topology.hubs = 4;
+    params.crossbar.topology.cluster_size = 16;
+    params.crossbar.topology.switch_link_ns = 15.0;
+    params.functionalWarmupMisses = 4000;
+    params.warmupInstrPerCpu = 1000;
+    params.measureInstrPerCpu = 4000;
+    return params;
+}
+
+TEST(ChainFusion, Snoop64FusedMatchesUnfused)
+{
+    SystemStats unfused = runOnce(snoop64Params(1, false));
+    SystemStats fused = runOnce(snoop64Params(1, true));
+    ASSERT_GT(unfused.misses, 1000u);
+    expectFigureEqual(fused, unfused);
+    EXPECT_EQ(fused.windowsRun, unfused.windowsRun);
+    EXPECT_EQ(fused.barrierCrossings, unfused.barrierCrossings);
+    EXPECT_LT(fused.calendarOps, unfused.calendarOps);
+}
+
+TEST(ChainFusion, Snoop64ShardCountsMatch)
+{
+    SystemStats k1 = runOnce(snoop64Params(1, true));
+    for (unsigned shards : {2u, 4u}) {
+        SCOPED_TRACE(shards);
+        SystemStats k = runOnce(snoop64Params(shards, true));
+        expectFigureEqual(k, k1);
+        EXPECT_EQ(k.windowsRun, k1.windowsRun);
+        EXPECT_EQ(k.barrierCrossings, k1.barrierCrossings);
+    }
+}
+
+/**
+ * Most remaining hops of any fused chain saved in a snapshot (0 when
+ * it holds none). A pending-event record is (u64 when, u64 key, u16
+ * domain) followed by the event's own save; a chain's save is (u8
+ * tag, Message, u64 when, u32 hops, then per hop u32 dest, u64 key,
+ * u16 domain), and its first hop repeats the record's when, key and
+ * domain. Matching all of that rules out stray bytes elsewhere in the
+ * payload.
+ */
+std::uint32_t
+longestSavedChain(const std::string &path)
+{
+    std::string payload;
+    if (!ckpt::readCheckpointFile(path, payload))
+        return 0;
+    auto at = [&payload](std::size_t pos, auto value) {
+        std::memcpy(&value, payload.data() + pos, sizeof(value));
+        return value;
+    };
+    constexpr std::size_t record = 8 + 8 + 2;
+    constexpr std::size_t header = 1 + sizeof(Message) + 8 + 4;
+    constexpr std::size_t hop = 4 + 8 + 2;
+    const auto tag = static_cast<char>(ckpt::EventTag::XbarChain);
+    std::uint32_t longest = 0;
+    for (std::size_t i = record; i + header + hop <= payload.size();
+         ++i) {
+        if (payload[i] != tag)
+            continue;
+        const std::uint64_t when = at(i - record, std::uint64_t{});
+        const std::uint64_t key = at(i - 10, std::uint64_t{});
+        const std::uint16_t domain = at(i - 2, std::uint16_t{});
+        const std::size_t tail = i + 1 + sizeof(Message);
+        const std::uint32_t hops = at(tail + 8, std::uint32_t{});
+        const std::size_t first = tail + 12;
+        if (at(tail, std::uint64_t{}) != when || hops == 0 ||
+            hops > maxNodes || at(first + 4, std::uint64_t{}) != key ||
+            at(first + 12, std::uint16_t{}) != domain) {
+            continue;
+        }
+        longest = std::max(longest, hops);
+    }
+    return longest;
+}
+
+TEST(ChainFusion, Snoop64LongChainCheckpointRestoresAtK1AndK4)
+{
+    TempDir dir;
+    SystemParams params = snoop64Params(1, true);
+    // Snapshots of this machine are ~35 MB; 30 us simulated between
+    // them keeps the run to two or three.
+    params.checkpoint.every = 30000000;
+    params.checkpoint.dir = dir.path;
+    SystemStats full = runOnce(params);
+
+    // The earliest snapshot holding a chain longer than the 8 hops
+    // the old fixed-size chain could carry.
+    std::string snapshot;
+    for (const auto &[tick, path] : listCheckpoints(dir.path)) {
+        if (longestSavedChain(path) > 8) {
+            snapshot = path;
+            break;
+        }
+    }
+    ASSERT_FALSE(snapshot.empty())
+        << "no snapshot caught a chain of more than 8 hops in flight";
+
+    for (unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE(shards);
+        SystemParams resume = snoop64Params(shards, true);
+        resume.checkpoint = params.checkpoint;
+        resume.checkpoint.restore = true;
+        resume.checkpoint.restorePath = snapshot;
+        auto workload = makeWorkload("barnes", params.nodes, 1, 0.25);
+        System system(*workload, resume);
+        SystemStats resumed = system.run();
+        ASSERT_TRUE(system.restoredFromCheckpoint());
+        expectFigureEqual(resumed, full);
     }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "interconnect/crossbar.hh"
@@ -230,9 +232,9 @@ TEST(Crossbar, MulticastFanOutIsZeroCopy)
 
     // Pool accounting: exactly one payload entered the pool for the
     // whole fan-out, refs (not copies) covered the deliveries, and
-    // the payload was returned once the last delivery ran. Fused hop
-    // chains take one ref per chain (up to 8 same-queue deliveries),
-    // so the ref count sits between 1 and one-per-destination.
+    // the payload was returned once the last delivery ran. A fused
+    // fan-out takes one ref per shard queue it reaches, so the ref
+    // count sits between 1 and one-per-destination.
     EXPECT_EQ(after.acquires - before.acquires, 1u);
     EXPECT_EQ(after.releases - before.releases, 1u);
     EXPECT_GE(after.refsShared - before.refsShared, 1u);
@@ -259,6 +261,77 @@ TEST(Crossbar, DirectSendPayloadIsPooledAndReleased)
     EXPECT_EQ(after.acquires - before.acquires, 2u);
     EXPECT_EQ(after.releases - before.releases, 2u);
     EXPECT_EQ(after.live(), before.live());
+}
+
+/** Passive filter for the tests below: transactions listed in the
+ *  context are passive at every destination. */
+bool
+passiveTxn(const void *ctx, const Message &msg, NodeId)
+{
+    const auto &txns = *static_cast<const std::vector<TxnId> *>(ctx);
+    return std::find(txns.begin(), txns.end(), msg.txn) != txns.end();
+}
+
+TEST(Crossbar, PassiveDeliveryBooksTheLinkButSkipsTheHandler)
+{
+    EventQueue q;
+    OrderedCrossbar xbar(q, kNodes);
+    const std::vector<TxnId> passive{1};
+    xbar.setPassiveFilter(passiveTxn, &passive);
+    std::vector<std::pair<TxnId, Tick>> seen;
+    xbar.setDeliverHandler(
+        [&](const Message &msg, NodeId dest, Tick t) {
+            if (dest == 9)
+                seen.push_back({msg.txn, t});
+        });
+
+    // Passive txn 1 reaches node 9 at 50 ns; active txn 2, ordered one
+    // gap later, arrives while txn 1 still occupies the ingress link.
+    xbar.sendOrdered(request(0, DestinationSet::of(9), 1));
+    xbar.sendOrdered(request(1, DestinationSet::of(9), 2));
+    q.run();
+
+    ASSERT_EQ(seen.size(), 1u);  // the handler never sees txn 1
+    EXPECT_EQ(seen[0].first, 2u);
+    // Txn 2 waits for the link txn 1 booked: delivered at txn 1's
+    // arrival plus its occupancy, not at its own uncontended 50.5 ns.
+    EXPECT_EQ(seen[0].second, nsToTicks(50.0) + nsToTicks(0.8));
+    EXPECT_EQ(xbar.traffic(MessageKind::Request).messages, 2u);
+    EXPECT_EQ(xbar.traffic(MessageKind::Request).bytes,
+              2 * requestMessageBytes);
+}
+
+TEST(Crossbar, ContendedPassiveDeliveryNeverRefires)
+{
+    // Active txn 1, passive txn 2, active txn 3, one ordering gap
+    // apart, all to node 9: txn 2 finds the link busy. It books its
+    // slot (txn 3 lands after it) but schedules no refire event.
+    auto run = [](bool filtered, std::vector<Tick> &ticks) {
+        EventQueue q;
+        OrderedCrossbar xbar(q, kNodes);
+        const std::vector<TxnId> passive{2};
+        if (filtered)
+            xbar.setPassiveFilter(passiveTxn, &passive);
+        xbar.setDeliverHandler(
+            [&](const Message &msg, NodeId, Tick t) {
+                if (msg.txn != 2)
+                    ticks.push_back(t);
+            });
+        for (TxnId txn = 1; txn <= 3; ++txn) {
+            xbar.sendOrdered(request(static_cast<NodeId>(txn),
+                                     DestinationSet::of(9), txn));
+        }
+        q.run();
+        EXPECT_EQ(xbar.traffic(MessageKind::Request).messages, 3u);
+        return q.executed();
+    };
+    std::vector<Tick> filtered_ticks, plain_ticks;
+    const std::uint64_t filtered = run(true, filtered_ticks);
+    const std::uint64_t plain = run(false, plain_ticks);
+    EXPECT_EQ(filtered_ticks, plain_ticks);
+    ASSERT_EQ(filtered_ticks.size(), 2u);
+    EXPECT_EQ(filtered_ticks[1], nsToTicks(50.0) + 2 * nsToTicks(0.8));
+    EXPECT_EQ(filtered + 1, plain);  // txn 2's refire is gone
 }
 
 TEST(Crossbar, MessageKindMetadata)

@@ -308,6 +308,82 @@ TEST(ShardedKernel, SingleBarrierCrossingPerBusyWindow)
     EXPECT_LE(kernel.barrierCrossings(), kernel.windowsRun() + 2);
 }
 
+// ---- key ranges: allocKeys(n) == n x allocKey() ---------------------------
+
+TEST(DomainPortKeys, RangeEqualsSingleAllocationsStandalone)
+{
+    EventQueue ranged_queue, single_queue;
+    DomainPort ranged(ranged_queue), single(single_queue);
+    ranged.allocKey(EventPriority::Cpu);
+    single.allocKey(EventPriority::Cpu);
+
+    const std::uint64_t first =
+        ranged.allocKeys(EventPriority::Delivery, 5);
+    for (std::uint64_t i = 0; i < 5; ++i)
+        EXPECT_EQ(first + i, single.allocKey(EventPriority::Delivery));
+    // Both counters moved by the same amount.
+    EXPECT_EQ(ranged.allocKey(EventPriority::Delivery),
+              single.allocKey(EventPriority::Delivery));
+}
+
+/** The keys, and the cross-domain sends counted, when an event in
+ *  domain 1 takes `n` delivery keys through `target`'s port -- as one
+ *  range or as `n` single allocations -- plus the next key domain 1
+ *  hands out afterwards. Boot-context keys (outside run()) are
+ *  taken the same way first. */
+struct KeyTrace {
+    std::vector<std::uint64_t> keys;
+    std::uint64_t sends = 0;
+
+    bool operator==(const KeyTrace &) const = default;
+};
+
+KeyTrace
+traceKeys(bool ranged, std::uint16_t target, unsigned n)
+{
+    ShardedKernel kernel(2, twoDomainMap(0, 1), kLookahead);
+    DomainPort self = kernel.port(1);
+    DomainPort dest = kernel.port(target);
+    KeyTrace trace;
+    auto take = [&]() {
+        if (ranged) {
+            const std::uint64_t first =
+                dest.allocKeys(EventPriority::Delivery, n);
+            for (unsigned i = 0; i < n; ++i)
+                trace.keys.push_back(first + i);
+        } else {
+            for (unsigned i = 0; i < n; ++i)
+                trace.keys.push_back(
+                    dest.allocKey(EventPriority::Delivery));
+        }
+    };
+    take();  // boot context
+    self.schedule(Tick{10}, [&]() {
+        const std::uint64_t before = kernel.crossDomainSends(0);
+        take();
+        trace.sends = kernel.crossDomainSends(0) - before;
+        trace.keys.push_back(self.allocKey(EventPriority::Delivery));
+    });
+    kernel.run([] { return false; });
+    return trace;
+}
+
+TEST(DomainPortKeys, RangeEqualsSingleAllocationsInKernelMode)
+{
+    // Cross-domain target (domain 2, on the other shard): n sends.
+    KeyTrace ranged = traceKeys(true, 2, 7);
+    KeyTrace single = traceKeys(false, 2, 7);
+    EXPECT_EQ(ranged, single);
+    EXPECT_EQ(ranged.sends, 7u);
+    ASSERT_EQ(ranged.keys.size(), 15u);
+
+    // Same-domain target: keys still match, and no sends are counted.
+    KeyTrace self_ranged = traceKeys(true, 1, 3);
+    KeyTrace self_single = traceKeys(false, 1, 3);
+    EXPECT_EQ(self_ranged, self_single);
+    EXPECT_EQ(self_ranged.sends, 0u);
+}
+
 /** Full-System determinism: the headline invariant of the sharded
  *  kernel. Every emitted figure statistic must be bit-identical
  *  between a 1-shard and a 4-shard run of the same seeded config. */

@@ -551,6 +551,93 @@ TEST(SystemScaling, ShardedBitEquivalenceAt64Nodes)
 }
 
 /**
+ * The passive-delivery predicate's truth table. The coherence oracle
+ * cannot catch a predicate that wrongly calls an acting destination
+ * passive: its invalidation witness sits behind the predicate. So the
+ * rules are pinned here, case by case.
+ */
+TEST(SystemTiming, PassiveDeliveryTruthTable)
+{
+    auto workload = scriptedWorkload<PingPongRegion>();
+    System snooping(*workload, baseParams(ProtocolKind::Snooping));
+
+    Message getx;
+    getx.kind = MessageKind::Request;
+    getx.type = RequestType::GetExclusive;
+    getx.addr = 0x1000000 + 7 * blockBytes;
+    getx.attempt = 0;
+    getx.echo.requester = 1;
+    getx.echo.responder = 2;
+    getx.echo.required = DestinationSet::of(2);
+    getx.echo.required.add(3);
+    getx.echo.resolved = true;
+    getx.echo.resolvedAttempt = 0;
+    const NodeId home = homeOf(getx.block(), kNodes);
+    ASSERT_GT(home, 3u);
+    NodeId bystander = home + 1 < kNodes ? home + 1 : 4;
+    ASSERT_NE(bystander, home);
+
+    // Resolved GETX: requester, home, responder and every required
+    // sharer act; anyone else is passive.
+    EXPECT_FALSE(snooping.passiveDelivery(getx, 1));
+    EXPECT_FALSE(snooping.passiveDelivery(getx, home));
+    EXPECT_FALSE(snooping.passiveDelivery(getx, 2));
+    EXPECT_FALSE(snooping.passiveDelivery(getx, 3));
+    EXPECT_TRUE(snooping.passiveDelivery(getx, bystander));
+
+    // A GETS invalidates no one: only its responder acts.
+    Message gets = getx;
+    gets.type = RequestType::GetShared;
+    EXPECT_FALSE(snooping.passiveDelivery(gets, 2));
+    EXPECT_TRUE(snooping.passiveDelivery(gets, 3));
+
+    // An attempt that did not resolve carries no snoop duty, but the
+    // requester and the home still act on it.
+    Message insufficient = getx;
+    insufficient.echo.resolvedAttempt = 1;
+    EXPECT_TRUE(snooping.passiveDelivery(insufficient, 2));
+    EXPECT_TRUE(snooping.passiveDelivery(insufficient, 3));
+    EXPECT_FALSE(snooping.passiveDelivery(insufficient, 1));
+    EXPECT_FALSE(snooping.passiveDelivery(insufficient, home));
+    Message retry = getx;
+    retry.kind = MessageKind::Retry;
+    EXPECT_TRUE(snooping.passiveDelivery(retry, bystander));
+
+    // Only ordered messages can be passive.
+    Message data = getx;
+    data.kind = MessageKind::Data;
+    EXPECT_FALSE(snooping.passiveDelivery(data, bystander));
+
+    // Multicast: every destination trains its predictor.
+    auto mc_workload = scriptedWorkload<PingPongRegion>();
+    System multicast(*mc_workload, baseParams(ProtocolKind::Multicast));
+    EXPECT_FALSE(multicast.passiveDelivery(getx, bystander));
+    EXPECT_FALSE(multicast.passiveDelivery(insufficient, 3));
+}
+
+/** SystemParams::shards is clamped to [1, min(nodes, 64)]: asking a
+ *  128-node machine for 100 shards used to abort in the kernel's
+ *  constructor ("bad shard count 100"); it now builds at 64. */
+TEST(SystemScaling, ShardCountClampsToTheKernelCeiling)
+{
+    auto shards_for = [](NodeId nodes, unsigned shards) {
+        SystemParams params;
+        params.nodes = nodes;
+        params.shards = shards;
+        return System::shardCountFor(params);
+    };
+    EXPECT_EQ(shards_for(16, 0), 1u);
+    EXPECT_EQ(shards_for(16, 3), 3u);
+    EXPECT_EQ(shards_for(16, 300), 16u);
+    EXPECT_EQ(shards_for(128, 64), 64u);
+    EXPECT_EQ(shards_for(128, 100), ShardedKernel::maxShards);
+    EXPECT_EQ(shards_for(256, 1000), ShardedKernel::maxShards);
+
+    auto workload = makeWorkload("oltp", 128, 14, 0.05);
+    System system(*workload, scaledParams(128, /* hubs */ 4, 100));
+}
+
+/**
  * A hierarchical 64-node machine (4 clusters of 16 behind a slow
  * switch tier: 10 ns cluster links, 40 ns switch links) runs to
  * completion and pays for cross-cluster transfers. Most sharer pairs
