@@ -9,7 +9,10 @@
 #   3. bench_perf_hotpath with a small --measure, checked against the
 #      committed BENCH_hotpath.json: a >15% events/sec regression on
 #      any config fails the run. Pass --allow-perf-regression (or set
-#      ALLOW_PERF_REGRESSION=1) for intentional perf changes.
+#      ALLOW_PERF_REGRESSION=1) for intentional perf changes. The
+#      host-independent work counters (events/miss, calendar
+#      ops/miss, touched words/access) of each single-threaded config
+#      must stay within 2% of the baseline, waiver or not.
 #   4. sharded-kernel determinism cross-check: the Figure-7 multicast
 #      config is run with --threads 1 and --threads 4 and every
 #      deterministic figure statistic must match bit-for-bit -- first
@@ -147,7 +150,7 @@ for c in configs:
         sys.exit("config %r is marked partial" % c.get("name"))
     for field in ("events_per_sec", "barriers_per_window",
                   "l0_hit_rate", "events", "misses",
-                  "calendar_ops_per_miss", "prefetch_issued"):
+                  "calendar_ops_per_miss", "touched_words_per_access"):
         v = c.get(field)
         if not isinstance(v, (int, float)) or isinstance(v, bool) \
                 or not math.isfinite(v):
@@ -161,7 +164,7 @@ PYEOF
             and ([.configs[] | (.partial // false) | not] | all)
             and ([.configs[] | .events_per_sec, .barriers_per_window,
                   .l0_hit_rate, .events, .misses,
-                  .calendar_ops_per_miss, .prefetch_issued]
+                  .calendar_ops_per_miss, .touched_words_per_access]
                  | all(type == "number" and (isinfinite | not)
                        and (isnan | not)))' "$file" > /dev/null
     else
@@ -243,14 +246,70 @@ if [[ -f "$BASELINE" ]]; then
     fi
 fi
 
-# Hot-path counter guards (PR 10). calendar_ops_per_miss pins the
-# chain-fusion win: a >15% rise vs the committed baseline on a
-# multicast config means fusion quietly stopped firing. The comparison
-# is skipped when the baseline predates the field (first run after it
-# landed). prefetch_issued must be non-zero on the single-threaded
-# configs: at K=1 every hint is same-shard, so zero means the hint
-# sites are dead. Both are host performance counters, deliberately
-# absent from the determinism extraction below (they are
+# Work-counter gates. Events per miss, calendar ops per miss and
+# touched words per access of each single-threaded config count the
+# simulator's own work: they repeat exactly run to run and do not
+# depend on the host. Each must stay within 2% of the committed
+# baseline, in either direction, and the gate holds even under
+# --allow-perf-regression: a change that moves the work re-baselines
+# BENCH_hotpath.json on purpose, with the new counters in its diff.
+extract_work() {
+    awk -F: '
+        /"name"/ { gsub(/[ ",]/, "", $2); name = $2 }
+        name != "" && /"(threads|events|misses|calendar_ops_per_miss|touched_words_per_access)"/ {
+            key = $1; gsub(/[ "]/, "", key); gsub(/[ ,]/, "", $2)
+            v[name, key] = $2; names[name] = 1
+        }
+        END {
+            for (n in names) {
+                if (v[n, "threads"] != 1) continue
+                if (v[n, "misses"] > 0)
+                    printf "%s events_per_miss %.6f\n", n,
+                           v[n, "events"] / v[n, "misses"]
+                printf "%s calendar_ops_per_miss %s\n", n,
+                       v[n, "calendar_ops_per_miss"]
+                printf "%s touched_words_per_access %s\n", n,
+                       v[n, "touched_words_per_access"]
+            }
+        }' "$1"
+}
+WORK_GATES=9  # 3 single-threaded configs x 3 counters
+if ! { extract_work "$BASELINE"; echo "--"; extract_work "$FRESH"; } \
+    | awk -v want="$WORK_GATES" '
+    $1 == "--"  { fresh_section = 1; next }
+    !fresh_section { base[$1 " " $2] = $3; next }
+    { fresh[$1 " " $2] = $3 }
+    END {
+        status = 0; compared = 0
+        for (k in fresh) {
+            if (!(k in base)) continue
+            ++compared
+            b = base[k]; f = fresh[k]
+            ok = b == 0 ? f == 0 : (f / b >= 0.98 && f / b <= 1.02)
+            printf "work gate: %-56s %10.4f -> %10.4f %s\n", k, b, f, \
+                   ok ? "ok" : "FAIL (outside +-2%)"
+            if (!ok) status = 1
+        }
+        if (compared != want) {
+            printf "work gate: compared %d of %d counters -- baseline " \
+                   "or fresh bench JSON lacks a single-threaded config\n", \
+                   compared, want
+            status = 1
+        }
+        exit status
+    }'; then
+    echo "check.sh: work counters outside +-2% of (or missing" \
+         "from) committed BENCH_hotpath.json -- a work change must" \
+         "re-baseline it on purpose (not waivable with" \
+         "--allow-perf-regression)" >&2
+    exit 1
+fi
+
+# calendar_ops_per_miss also pins the chain-fusion win on the sharded
+# config: a >15% rise vs the committed baseline on a multicast config
+# means fusion quietly stopped firing. The comparison is skipped when
+# the baseline predates the field. It is a host performance counter,
+# deliberately absent from the determinism extraction below (it is
 # partition-dependent by design).
 extract_field() {
     awk -F: -v field="$2" '
@@ -259,15 +318,6 @@ extract_field() {
             gsub(/[ ,]/, "", $2); print name, $2
         }' "$1"
 }
-PREFETCH_ZERO=$(extract_field "$FRESH" prefetch_issued | awk '
-    ($1 == "snooping" || $1 == "multicast-owner-group") && $2 + 0 == 0 \
-        { print $1 }')
-if [[ -n "$PREFETCH_ZERO" ]]; then
-    echo "check.sh: prefetch_issued is zero on:" $PREFETCH_ZERO "--" \
-         "the send-time prefetch hints are not firing" >&2
-    exit 1
-fi
-echo "prefetch_issued: non-zero on the single-threaded configs"
 if [[ -f "$BASELINE" ]] && grep -q '"calendar_ops_per_miss"' "$BASELINE"
 then
     if ! { extract_field "$BASELINE" calendar_ops_per_miss; echo "--"
@@ -415,8 +465,8 @@ if echo 'int main(){}' | g++ -fsanitize=address -x c++ - \
         -DCMAKE_CXX_FLAGS="-fsanitize=address" > /dev/null
     cmake --build build-asan --target test_checkpoint -j"$JOBS"
     ASAN_OUT=$(./build-asan/test_checkpoint \
-        --gtest_filter='CheckpointFile.*:Checkpoint.FlatRestoreBitEquivalentAcrossShardCounts')
-    if ! grep -q "4 tests from 2 test suites ran" <<< "$ASAN_OUT"; then
+        --gtest_filter='CheckpointFile.*:CheckpointReader.*:Checkpoint.FlatRestoreBitEquivalentAcrossShardCounts')
+    if ! grep -q "8 tests from 3 test suites ran" <<< "$ASAN_OUT"; then
         echo "check.sh: ASan checkpoint tests did not run (filter out" \
              "of sync with test_checkpoint?)" >&2
         exit 1

@@ -101,16 +101,20 @@ readCheckpointFile(const std::string &path, std::string &payload)
     if (!f)
         return false;
 
+    // The declared length must be exactly what follows the header
+    // before it sizes the buffer: a torn or garbled header is an
+    // invalid file, not an allocation of whatever it claims.
     FileHeader hdr{};
-    bool ok = std::fread(&hdr, sizeof(hdr), 1, f) == 1 &&
-              hdr.magic == fileMagic && hdr.version == formatVersion;
+    struct stat st;
+    bool ok = ::fstat(::fileno(f), &st) == 0 &&
+              std::fread(&hdr, sizeof(hdr), 1, f) == 1 &&
+              hdr.magic == fileMagic && hdr.version == formatVersion &&
+              hdr.payloadLen ==
+                  static_cast<std::uint64_t>(st.st_size) - sizeof(hdr);
     if (ok) {
         std::string body(hdr.payloadLen, '\0');
         ok = hdr.payloadLen == 0 ||
              std::fread(body.data(), 1, body.size(), f) == body.size();
-        // A byte past the declared length means a torn/garbled file too.
-        if (ok && std::fgetc(f) != EOF)
-            ok = false;
         if (ok && sweep::crc32(body) != hdr.payloadCrc)
             ok = false;
         if (ok)

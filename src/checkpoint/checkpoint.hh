@@ -35,7 +35,7 @@ namespace ckpt {
  *  change to any subsystem's save layout bumps the version; restore
  *  refuses a version mismatch instead of misreading old bytes. */
 constexpr std::uint32_t fileMagic = 0x43505344u;
-constexpr std::uint32_t formatVersion = 3;
+constexpr std::uint32_t formatVersion = 4;
 
 /**
  * Append-only byte-buffer serializer. All integers are written in
@@ -177,7 +177,7 @@ class Reader
     std::string
     str()
     {
-        std::string s(u64(), '\0');
+        std::string s(count(1), '\0');
         bytes(s.data(), s.size());
         return s;
     }
@@ -199,7 +199,7 @@ class Reader
     {
         static_assert(std::is_trivially_copyable_v<T>,
                       "podVec() needs a trivially copyable type");
-        std::vector<T> v(u64());
+        std::vector<T> v(count(sizeof(T)));
         if (!v.empty())
             bytes(v.data(), v.size() * sizeof(T));
         return v;
@@ -218,6 +218,20 @@ class Reader
     bool atEnd() const { return p_ == end_; }
 
   private:
+    /** Read an element count and check it against the bytes left
+     *  before it sizes any allocation. */
+    std::size_t
+    count(std::size_t elem_size)
+    {
+        std::uint64_t n = u64();
+        std::size_t left = static_cast<std::size_t>(end_ - p_);
+        dsp_assert(n <= left / elem_size,
+                   "checkpoint payload declares %llu element(s) of %zu "
+                   "byte(s) with only %zu byte(s) left",
+                   static_cast<unsigned long long>(n), elem_size, left);
+        return static_cast<std::size_t>(n);
+    }
+
     const std::uint8_t *p_;
     const std::uint8_t *end_;
 };

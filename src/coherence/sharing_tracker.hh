@@ -124,11 +124,6 @@ class SharingTracker
      */
     void reserve(std::size_t blocks) { blocks_.reserve(blocks); }
 
-    /** Host-prefetch `block`'s table slot: issued at request send so
-     *  the line is warm when the ordering point applies the request a
-     *  hop later. Semantically a no-op. */
-    void prefetch(BlockId block) const { blocks_.prefetch(block); }
-
     /**
      * Checkpoint the whole block table. BlockState is trivially
      * copyable, so the FlatMap raw-layout path captures it verbatim

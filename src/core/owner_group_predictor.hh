@@ -45,13 +45,6 @@ class OwnerGroupPredictor : public Predictor
     void trainExternalRequest(Addr addr, Addr pc, RequestType type,
                               NodeId requester) override;
 
-    unsigned
-    prefetchTables(Addr addr, Addr pc) const override
-    {
-        table_.prefetch(indexKey(config_.indexing, addr, pc));
-        return 1;
-    }
-
     std::string name() const override { return "owner-group"; }
     std::size_t entryCount() const override { return table_.size(); }
 

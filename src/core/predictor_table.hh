@@ -110,18 +110,6 @@ class PredictorTable
         return &unbounded_.try_emplace(key).first->second;
     }
 
-    /** Host-prefetch the lines a lookup of `key` will walk (the
-     *  finite table's set, or the hash map's home slot). Semantically
-     *  a no-op. */
-    void
-    prefetch(std::uint64_t key) const
-    {
-        if (finite_)
-            __builtin_prefetch(&finite_->meta[finite_->base(key)], 0, 3);
-        else
-            unbounded_.prefetch(key);
-    }
-
     /** Number of live entries. */
     std::size_t
     size() const

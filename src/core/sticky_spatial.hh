@@ -49,17 +49,6 @@ class StickySpatialPredictor : public Predictor
     void trainRetry(Addr addr, Addr pc,
                     DestinationSet true_required) override;
 
-    unsigned
-    prefetchTables(Addr addr, Addr pc) const override
-    {
-        std::uint64_t key = indexKey(config_.indexing, addr, pc);
-        if (!finite_.empty())
-            __builtin_prefetch(&finite_[key % finite_.size()], 0, 3);
-        else
-            unbounded_.prefetch(key);
-        return 1;
-    }
-
     std::string name() const override { return "sticky-spatial"; }
     std::size_t entryCount() const override;
     unsigned entryBits() const override { return config_.numNodes; }

@@ -71,18 +71,10 @@ class MemoryPort
      * access logically executes; on a miss the coherence request
      * enters the network at that tick. The completion is only copied
      * on a miss.
-     *
-     * `next_hint`, when non-zero, is the address the caller expects
-     * to access next (CPU models read it from the workload's refill
-     * buffer). A timing no-op: implementations may only use it to
-     * warm host caches for the upcoming access -- the simulated L2
-     * planes dwarf the host's caches, so the next set's line touch is
-     * the dominant irreducible cost and one access of lookahead hides
-     * most of it.
      */
     virtual AccessReply
     access(Addr addr, Addr pc, bool is_write, Tick when,
-           const Completion &on_complete, Addr next_hint = 0) = 0;
+           const Completion &on_complete) = 0;
 };
 
 /** CPU timing parameters (Table 4). */

@@ -119,11 +119,9 @@ DetailedCpu::fetchLoop()
             WindowRef{end, fetch, 0, false};
         ++windowCount_;
 
-        const MemRef *ahead = workload_.peek(node_);
         AccessReply reply = port_.access(
             pending_.addr, pending_.pc, pending_.write, fetch,
-            MemoryPort::Completion{&accessDoneTrampoline, this, seq},
-            ahead != nullptr ? ahead->addr : 0);
+            MemoryPort::Completion{&accessDoneTrampoline, this, seq});
 
         switch (reply) {
           case AccessReply::L1Hit:

@@ -64,10 +64,8 @@ SimpleCpu::execute(Tick local)
         local += (ref.work + 1) * instrTick_;
         retired_ += ref.work + 1;
 
-        const MemRef *ahead = workload_.peek(node_);
         AccessReply reply =
-            port_.access(ref.addr, ref.pc, ref.write, local, missDone_,
-                         ahead != nullptr ? ahead->addr : 0);
+            port_.access(ref.addr, ref.pc, ref.write, local, missDone_);
 
         switch (reply) {
           case AccessReply::L1Hit:

@@ -301,18 +301,6 @@ class NodeCaches
     std::uint64_t commitStageWalks() const { return commitWalks_; }
     std::uint64_t fillStageWalks() const { return fillWalks_; }
 
-    /**
-     * Host-cache warming for an upcoming access to `block`: prefetch
-     * the simulated-L2 set's line. Semantically a no-op; the L2 plane
-     * is the one that does not fit the host's caches, and one access
-     * of lookahead covers its fetch latency.
-     */
-    void
-    prefetchSets(BlockId block) const
-    {
-        l2_.prefetchSet(block);
-    }
-
     /** Test hooks for the L0 renormalization-epoch guard. */
     std::uint32_t debugL1Clock() const { return l1_.useClock(); }
     void debugAdvanceL1Clock(std::uint32_t v) { l1_.debugSetUseClock(v); }

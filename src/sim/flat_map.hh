@@ -156,22 +156,6 @@ class FlatMap
         return findIndex(key) != ctrl_.size();
     }
 
-    /**
-     * Issue host prefetches for `key`'s home slot (control byte and
-     * slot storage). Purely a latency hint for a lookup a few events
-     * from now -- semantically a no-op, and probe chains past the home
-     * slot still walk normally.
-     */
-    void
-    prefetch(K key) const
-    {
-        if (ctrl_.empty())
-            return;
-        std::size_t i = indexOf(key);
-        __builtin_prefetch(ctrl_.data() + i, 0, 3);
-        __builtin_prefetch(slots_.data() + i, 0, 3);
-    }
-
     V &
     operator[](K key)
     {

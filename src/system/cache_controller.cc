@@ -52,15 +52,8 @@ struct CacheController::IssueEvent final : Event {
 
 AccessReply
 CacheController::access(Addr addr, Addr pc, bool is_write, Tick when,
-                        const Completion &on_complete, Addr next_hint)
+                        const Completion &on_complete)
 {
-    // Warm the host cache for the *next* access's L2 set while this
-    // one executes -- the CPU models pass the upcoming address from
-    // the workload refill buffer. Purely a host-side hint; simulated
-    // state and timing are untouched.
-    if (next_hint != 0)
-        caches_.prefetchSets(blockOf(next_hint));
-
     BlockId block = blockOf(addr);
 
     // Secondary access to an in-flight block: coalesce into the MSHR
@@ -97,10 +90,6 @@ CacheController::access(Addr addr, Addr pc, bool is_write, Tick when,
     mshr.handle = staged.fillHandle();
     mshr.waiters.push_back(on_complete);
 
-    // The issue event (at least one calendar hop away) reads this
-    // node's predictor table in destinationsFor(); warm its set now.
-    sys_.prefetchPredictor(node_, addr, pc);
-
     if (when < port_.now())
         when = port_.now();
     port_.schedule(
@@ -133,10 +122,6 @@ CacheController::issueRequest(BlockId block, Addr addr, Addr pc,
     msg.dests = sys_.destinationsFor(block, addr, pc, type, node_);
     msg.echo.issued = when;
     msg.echo.requester = node_;
-    // The ordering point applies this request to the hub's sharing
-    // tracker one hop from now; warm that bucket while the request is
-    // in flight (gated to same-shard inside).
-    sys_.prefetchTracker(block, node_);
     sys_.crossbar_.sendOrdered(std::move(msg));
 }
 
@@ -210,9 +195,6 @@ CacheController::onSnoop(const Message &msg, Tick tick)
         data.src = node_;
         data.dest = echo.requester;
         data.echo = echo;
-        // The requester's complete() probes its MSHR file and fills
-        // its cache sets when this data lands; warm those lines now.
-        sys_.prefetchCompletion(echo.requester, block, port_.domain());
         sys_.sendLater(std::move(data), send);
         return;
     }
@@ -267,7 +249,6 @@ CacheController::onForward(const Message &msg, Tick tick)
     data.src = node_;
     data.dest = echo.requester;
     data.echo = echo;
-    sys_.prefetchCompletion(echo.requester, block, port_.domain());
     sys_.sendLater(std::move(data), send);
 }
 

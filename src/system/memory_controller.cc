@@ -154,8 +154,6 @@ MemoryController::directoryContinue(const Message &msg)
         data.src = node_;
         data.dest = echo.requester;
         data.echo = echo;
-        sys_.prefetchCompletion(echo.requester, msg.block(),
-                                port_.domain());
         if (start > now)
             sys_.sendLater(std::move(data), start);
         else
@@ -170,8 +168,6 @@ MemoryController::directoryContinue(const Message &msg)
         grant.src = node_;
         grant.dest = echo.requester;
         grant.echo = echo;
-        sys_.prefetchCompletion(echo.requester, msg.block(),
-                                port_.domain());
         sys_.sendOrLocal(std::move(grant));
     } else {
         // 3-hop: forward to the owner.
@@ -296,10 +292,6 @@ MemoryController::handleMulticastHome(const Message &msg, Tick tick)
     data.src = node_;
     data.dest = echo.requester;
     data.echo = echo;
-    // Warm the requester's MSHR bucket and fill sets while the memory
-    // data is in flight (same-shard gated inside).
-    sys_.prefetchCompletion(echo.requester, msg.block(),
-                            port_.domain());
     sys_.sendLater(std::move(data), start + memory);
 }
 

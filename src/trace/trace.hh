@@ -103,13 +103,18 @@ struct Trace {
 
 /**
  * Write a trace to a binary file. Format: fixed header, then raw
- * records. Returns false (with a warning) on I/O failure.
+ * records. The file is written beside `path` and renamed into place,
+ * so `path` is either absent or complete. Returns false (with a
+ * warning, and no file at `path`) on I/O failure.
  */
 bool writeTrace(const Trace &trace, const std::string &path);
 
 /**
  * Read a trace written by writeTrace(). Calls dsp_fatal on malformed
- * input (bad magic / truncated file).
+ * input: bad magic or version, a record count that disagrees with the
+ * file size, a node count outside 1..DestinationSet::maskNodes, more
+ * warmup records than records, or a record whose requester,
+ * responder, required nodes or request type lie outside the machine.
  */
 Trace readTrace(const std::string &path);
 

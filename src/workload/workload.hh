@@ -80,20 +80,6 @@ class Workload
         return procs_[p].consumed;
     }
 
-    /**
-     * The next reference p will receive, if it is already buffered
-     * (null at refill boundaries, i.e. for 1 in refillBatch refs).
-     * Pure lookahead: does not advance the stream. CPU models use it
-     * to issue host prefetches for the next access's cache sets.
-     */
-    const MemRef *
-    peek(NodeId p) const
-    {
-        const ProcState &st = procs_[p];
-        return st.bufPos < st.buf.size() ? &st.buf[st.bufPos]
-                                         : nullptr;
-    }
-
     /** References generated per refill (test knob; default 64). */
     std::size_t refillBatch() const { return refillBatch_; }
 

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -320,6 +321,96 @@ TEST(CheckpointFile, CorruptAndTruncatedRejectedAndQuarantined)
     ASSERT_EQ(::truncate(older.c_str(), 12), 0);
     EXPECT_FALSE(ckpt::readCheckpointFile(older, back));
     EXPECT_EQ(ckpt::newestValidCheckpoint(dir.path), std::string());
+}
+
+/** Overwrite a checkpoint header's payload length (byte 8, after the
+ *  magic and version words). */
+void
+setPayloadLen(const std::string &path, std::uint64_t len)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&len, sizeof(len), 1, f), 1u);
+    std::fclose(f);
+}
+
+TEST(CheckpointFile, HugePayloadLengthReadsAsInvalid)
+{
+    TempDir dir;
+    std::string path = ckpt::checkpointPath(dir.path, 100);
+    ASSERT_TRUE(ckpt::writeCheckpointFile(path, std::string(512, 'a')));
+
+    // A torn header claiming 2^62 payload bytes is an invalid file,
+    // not a 4 EiB allocation.
+    setPayloadLen(path, std::uint64_t{1} << 62);
+    std::string back = "untouched";
+    EXPECT_FALSE(ckpt::readCheckpointFile(path, back));
+    EXPECT_EQ(back, "untouched");
+
+    // So is a length one byte short of, or past, the file's body.
+    setPayloadLen(path, 511);
+    EXPECT_FALSE(ckpt::readCheckpointFile(path, back));
+    setPayloadLen(path, 513);
+    EXPECT_FALSE(ckpt::readCheckpointFile(path, back));
+    setPayloadLen(path, 512);
+    EXPECT_TRUE(ckpt::readCheckpointFile(path, back));
+}
+
+TEST(CheckpointFile, ScanQuarantinesHugePayloadLengthAndFallsBack)
+{
+    TempDir dir;
+    std::string older = ckpt::checkpointPath(dir.path, 100);
+    std::string newer = ckpt::checkpointPath(dir.path, 200);
+    ASSERT_TRUE(ckpt::writeCheckpointFile(older, std::string(256, 'o')));
+    ASSERT_TRUE(ckpt::writeCheckpointFile(newer, std::string(256, 'n')));
+    setPayloadLen(newer, std::uint64_t{1} << 62);
+
+    EXPECT_EQ(ckpt::newestValidCheckpoint(dir.path), older);
+    struct stat st;
+    EXPECT_EQ(::stat((newer + ".corrupt").c_str(), &st), 0)
+        << "torn-header snapshot not quarantined";
+    EXPECT_NE(::stat(newer.c_str(), &st), 0);
+}
+
+/** A payload whose first word is an element count of 2^62. */
+std::string
+hugeCountPayload()
+{
+    ckpt::Writer w;
+    w.u64(std::uint64_t{1} << 62);
+    w.u64(7);
+    return w.buffer();
+}
+
+TEST(CheckpointReader, PodVecRefusesACountPastThePayload)
+{
+    std::string payload = hugeCountPayload();
+    ckpt::Reader r(payload);
+    PanicGuard guard;
+    EXPECT_THROW(r.podVec<std::uint64_t>(), std::runtime_error);
+
+    // An honest count still reads.
+    ckpt::Writer w;
+    w.podVec(std::vector<std::uint32_t>{1, 2, 3});
+    ckpt::Reader ok(w.buffer());
+    EXPECT_EQ(ok.podVec<std::uint32_t>(),
+              (std::vector<std::uint32_t>{1, 2, 3}));
+    EXPECT_TRUE(ok.atEnd());
+}
+
+TEST(CheckpointReader, StrRefusesALengthPastThePayload)
+{
+    std::string payload = hugeCountPayload();
+    ckpt::Reader r(payload);
+    PanicGuard guard;
+    EXPECT_THROW(r.str(), std::runtime_error);
+
+    ckpt::Writer w;
+    w.str("snapshot");
+    ckpt::Reader ok(w.buffer());
+    EXPECT_EQ(ok.str(), "snapshot");
+    EXPECT_TRUE(ok.atEnd());
 }
 
 TEST(CheckpointFile, PruneKeepsNewestAndNeverCountsCorrupt)

@@ -34,8 +34,7 @@ class MockPort : public MemoryPort
     unsigned peakOutstanding = 0;
 
     AccessReply
-    access(Addr, Addr, bool, Tick when, const Completion &done,
-           Addr /* next_hint */ = 0) override
+    access(Addr, Addr, bool, Tick when, const Completion &done) override
     {
         ++accesses;
         if (missEvery == 0 || accesses % missEvery != 0)

@@ -7,9 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "analysis/trace_collector.hh"
 #include "sim/logging.hh"
@@ -115,6 +124,177 @@ TEST(TraceIo, BadMagicFatals)
     PanicGuard guard;
     EXPECT_THROW(readTrace(path), std::runtime_error);
     std::remove(path.c_str());
+}
+
+/** A small well-formed 16-node trace; tests garble one field. */
+Trace
+smallTrace(std::size_t records = 5)
+{
+    Trace trace;
+    trace.workloadName = "garbled";
+    trace.numNodes = kNodes;
+    for (std::size_t i = 0; i < records; ++i) {
+        TraceRecord r;
+        r.addr = 0x1000u * (i + 1);
+        r.requester = static_cast<std::uint32_t>(i % kNodes);
+        r.responder = TraceRecord::memoryResponder;
+        r.requiredMask = 0b110;
+        trace.records.push_back(r);
+    }
+    return trace;
+}
+
+/** readTrace(path) must fail with a fatal error naming `what`. */
+void
+expectFatal(const std::string &path, const std::string &what)
+{
+    PanicGuard guard;
+    try {
+        readTrace(path);
+        ADD_FAILURE() << "readTrace accepted a garbled trace (" << what
+                      << ")";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
+/** Write `trace` to `name`, asserting the write itself succeeds. */
+std::string
+writeGarbled(const Trace &trace, const char *name)
+{
+    std::string path = tempPath(name);
+    EXPECT_TRUE(writeTrace(trace, path));
+    return path;
+}
+
+TEST(TraceIo, HugeRecordCountFatalsBeforeAllocating)
+{
+    // Patch the header's record count (byte 24, after magic, version
+    // and node count and total instructions) to 2^60: the reader must
+    // compare it with the file size, not hand it to the allocator.
+    std::string path = writeGarbled(smallTrace(), "hugecount");
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const std::uint64_t huge = std::uint64_t{1} << 60;
+    ASSERT_EQ(std::fseek(f, 24, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&huge, sizeof(huge), 1, f), 1u);
+    std::fclose(f);
+    expectFatal(path, "declares 1152921504606846976 trace records");
+}
+
+TEST(TraceIo, NodeCountOutsideTheMaskRangeFatals)
+{
+    Trace zero = smallTrace();
+    zero.numNodes = 0;
+    expectFatal(writeGarbled(zero, "zeronodes"), "declares 0 nodes");
+
+    Trace wide = smallTrace();
+    wide.numNodes = DestinationSet::maskNodes + 1;
+    expectFatal(writeGarbled(wide, "widenodes"), "declares 65 nodes");
+}
+
+TEST(TraceIo, WarmupBeyondRecordCountFatals)
+{
+    Trace trace = smallTrace();
+    trace.warmupRecords = trace.size() + 1;
+    expectFatal(writeGarbled(trace, "warmup"),
+                "declares 6 warmup records of only 5");
+}
+
+TEST(TraceIo, RequesterOutsideTheMachineFatals)
+{
+    Trace trace = smallTrace();
+    trace.records[3].requester = kNodes;
+    expectFatal(writeGarbled(trace, "requester"), "record 3");
+}
+
+TEST(TraceIo, ResponderOutsideTheMachineFatals)
+{
+    Trace trace = smallTrace();
+    trace.records[2].responder = kNodes;
+    expectFatal(writeGarbled(trace, "responder"), "record 2");
+}
+
+TEST(TraceIo, RequiredNodeOutsideTheMachineFatals)
+{
+    Trace trace = smallTrace();
+    trace.records[4].requiredMask = std::uint64_t{1} << kNodes;
+    expectFatal(writeGarbled(trace, "required"), "record 4");
+}
+
+TEST(TraceIo, RequestTypeOutOfRangeFatals)
+{
+    Trace trace = smallTrace();
+    trace.records[1].type =
+        static_cast<std::uint8_t>(RequestType::GetExclusive) + 1;
+    expectFatal(writeGarbled(trace, "type"), "record 1");
+}
+
+TEST(TraceIo, FullMachineMaskIsAccepted)
+{
+    // At the 64-node ceiling every mask bit names a real node.
+    Trace trace = smallTrace();
+    trace.numNodes = DestinationSet::maskNodes;
+    trace.records[0].requester = DestinationSet::maskNodes - 1;
+    trace.records[0].requiredMask = (std::uint64_t{1} << 62) | 1;
+    std::string path = writeGarbled(trace, "fullmask");
+    EXPECT_EQ(readTrace(path).records[0].requiredMask,
+              trace.records[0].requiredMask);
+    std::remove(path.c_str());
+}
+
+/** Names in `dir`, other than . and .. */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    if (DIR *d = ::opendir(dir.c_str())) {
+        while (struct dirent *e = ::readdir(d)) {
+            std::string name = e->d_name;
+            if (name != "." && name != "..")
+                names.push_back(name);
+        }
+        ::closedir(d);
+    }
+    return names;
+}
+
+TEST(TraceIo, FailedWriteLeavesNoFileAtThePath)
+{
+    char dir_template[] = "/tmp/dsp_test_tracewrite.XXXXXX";
+    ASSERT_NE(::mkdtemp(dir_template), nullptr);
+    const std::string dir = dir_template;
+    const std::string path = dir + "/t.dsptrace";
+
+    // An unopenable target: nothing appears.
+    EXPECT_FALSE(writeTrace(smallTrace(), dir + "/missing/t.dsptrace"));
+
+    // A short write: a child capped at 4 KiB of file size (SIGXFSZ
+    // ignored, so writes fail with EFBIG) writes a 40 KB trace.
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::signal(SIGXFSZ, SIG_IGN);
+        struct rlimit cap = {4096, 4096};
+        ::setrlimit(RLIMIT_FSIZE, &cap);
+        ::_exit(writeTrace(smallTrace(1000), path) ? 0 : 3);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 3) << "the short write was reported "
+                                         "as a success";
+    EXPECT_TRUE(listDir(dir).empty())
+        << "a failed write left " << listDir(dir).front();
+
+    // A successful write leaves exactly the final file.
+    ASSERT_TRUE(writeTrace(smallTrace(1000), path));
+    EXPECT_EQ(listDir(dir), std::vector<std::string>{"t.dsptrace"});
+    EXPECT_EQ(readTrace(path).size(), 1000u);
+    std::remove(path.c_str());
+    ::rmdir(dir.c_str());
 }
 
 // --------------------------------------------------------- trace collector
