@@ -225,20 +225,10 @@ traceCacheKey(const char *s)
     return h;
 }
 
-/**
- * Load a cached annotated trace for (workload, options) or collect and
- * cache one. Two cache levels, both keyed by every parameter that
- * affects trace contents: a FlatMap memo inside the process (so a
- * bench that revisits a configuration never re-reads, let alone
- * re-collects, and no caller copies the record vector) and ./traces/
- * on disk shared across bench binaries.
- *
- * The returned reference points at the memo-owned trace; it stays
- * valid across further getOrCollectTrace calls (entries are held by
- * pointer, so map growth never moves a Trace).
- */
-inline const Trace &
-getOrCollectTrace(const Options &opt, const std::string &name)
+/** The ./traces/ file caching (workload, options)'s annotated trace;
+ *  the name encodes every parameter that affects trace contents. */
+inline std::string
+traceCachePath(const Options &opt, const std::string &name)
 {
     char file[512];
     std::snprintf(file, sizeof(file),
@@ -247,28 +237,56 @@ getOrCollectTrace(const Options &opt, const std::string &name)
                   static_cast<unsigned long long>(opt.seed), opt.scale,
                   static_cast<unsigned long long>(opt.warmupMisses),
                   static_cast<unsigned long long>(opt.measureMisses));
+    return file;
+}
+
+/**
+ * Load a cached annotated trace for (workload, options) or collect and
+ * cache one. Two cache levels, both keyed by every parameter that
+ * affects trace contents: a FlatMap memo inside the process (so a
+ * bench that revisits a configuration never re-reads, let alone
+ * re-collects, and no caller copies the record vector) and
+ * traceCachePath() on disk shared across bench binaries. A cached file
+ * that is stale or unreadable (truncated, garbled, an older format)
+ * is recollected and rewritten with a warning.
+ *
+ * The returned reference points at the memo-owned trace; it stays
+ * valid across further getOrCollectTrace calls (entries are held by
+ * pointer, so map growth never moves a Trace).
+ */
+inline const Trace &
+getOrCollectTrace(const Options &opt, const std::string &name)
+{
+    const std::string file = traceCachePath(opt, name);
 
     // The file name encodes the full parameter tuple, so its hash is
     // the memo key. (Cold table; FlatMap to finish the repo-wide
     // flat-map adoption rather than for speed.)
     static FlatMap<std::uint64_t, std::unique_ptr<Trace>> memo;
-    const std::uint64_t key = traceCacheKey(file);
+    const std::uint64_t key = traceCacheKey(file.c_str());
     if (auto it = memo.find(key); it != memo.end() &&
                                   it->second->workloadName == name) {
         return *it->second;
     }
 
-    if (std::FILE *f = std::fopen(file, "rb")) {
+    if (std::FILE *f = std::fopen(file.c_str(), "rb")) {
         std::fclose(f);
-        auto trace = std::make_unique<Trace>(readTrace(file));
-        if (trace->workloadName == name &&
-            trace->numNodes == opt.nodes &&
-            trace->warmupRecords == opt.warmupMisses &&
-            trace->size() == opt.warmupMisses + opt.measureMisses) {
+        auto trace = std::make_unique<Trace>();
+        std::string why;
+        if (!tryReadTrace(file, *trace, why)) {
+            dsp_warn("unreadable trace cache: %s; recollecting",
+                     why.c_str());
+        } else if (trace->workloadName == name &&
+                   trace->numNodes == opt.nodes &&
+                   trace->warmupRecords == opt.warmupMisses &&
+                   trace->size() ==
+                       opt.warmupMisses + opt.measureMisses) {
             return *memo.emplace(key, std::move(trace))
                         .first->second;
+        } else {
+            dsp_warn("stale trace cache '%s'; recollecting",
+                     file.c_str());
         }
-        dsp_warn("stale trace cache '%s'; recollecting", file);
     }
 
     auto workload = makeWorkload(name, opt.nodes, opt.seed, opt.scale);
@@ -278,7 +296,7 @@ getOrCollectTrace(const Options &opt, const std::string &name)
 
     mkdir("traces", 0755);
     if (!writeTrace(*trace, file))
-        dsp_warn("could not cache trace to '%s'", file);
+        dsp_warn("could not cache trace to '%s'", file.c_str());
     return *memo.emplace(key, std::move(trace)).first->second;
 }
 

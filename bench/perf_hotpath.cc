@@ -441,7 +441,7 @@ writeJson(const HotpathOptions &opt,
         std::fprintf(f, "      \"barriers_per_window\": %.4f,\n",
                      r.barriersPerWindow());
         // Host performance counter, not a figure statistic: fused
-        // chains skip calendar inserts/pops, and a chain advance can
+        // chains skip queue heap inserts/pops, and a chain advance can
         // be refused near a shard-window boundary, so it is
         // partition-dependent and stays out of the determinism /
         // repeat-divergence comparisons.

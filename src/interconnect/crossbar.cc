@@ -157,8 +157,8 @@ struct OrderedCrossbar::DeliverEvent final : Event {
  * fan-out's delivery tick and carries the key the unfused fan-out
  * would have assigned it -- the fan-out's first key plus the hop's
  * rank among the destinations (the source excluded) -- so the
- * calendar sees one insert and one pop per shard where it used to
- * see one per destination. Later hops execute inline through
+ * queue sees one insert and one pop per shard where it used to see
+ * one per destination. Later hops execute inline through
  * chainAdvance, which refuses whenever an unrelated event orders
  * between two hops or the window ends; the chain then re-inserts
  * itself at the refused hop's coordinates, reproducing the unfused
@@ -199,7 +199,7 @@ struct OrderedCrossbar::ChainEvent final : Event {
             const std::uint64_t key = firstKey + rank;
             if (!port.queue().chainAdvance(when, key, port.domain())) {
                 // Something orders before this hop (or the window
-                // ends here): hand the rest back to the calendar.
+                // ends here): hand the rest back to the queue.
                 port.scheduleKeyed(*this, when, key);
                 return;
             }
@@ -404,7 +404,7 @@ OrderedCrossbar::fanOutFused(const MessageRef &msg, Tick deliver)
     // group becomes one ChainEvent walking its members from the first
     // to the last. The grouping never changes behaviour (every hop
     // keeps its unfused (tick, key) coordinates), only how many
-    // calendar operations carry the fan-out.
+    // queue operations carry the fan-out.
     struct Group {
         NodeId first;
         NodeId last;

@@ -54,7 +54,7 @@ struct CrossbarParams {
      * Fuse hop chains whose schedule is fully determined at send time
      * (fan-out deliveries sharing one tick, contended order-slot and
      * ingress refires) into single pooled events that execute the
-     * later hops inline, instead of one calendar insert+pop per hop.
+     * later hops inline, instead of one queue insert+pop per hop.
      * Bit-identical figure statistics either way (pinned by the chain
      * -fusion suite); off is the reference path.
      */

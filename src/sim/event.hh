@@ -108,21 +108,15 @@ class Event
         std::numeric_limits<std::size_t>::max();
 
     /**
-     * Queue linkage. A scheduled event lives in exactly one of the
-     * queue's two planes:
-     *
-     *  - the calendar ring (short horizon): a per-bucket doubly-linked
-     *    list sorted by (when, key), threaded through prev_/next_;
-     *  - the overflow heap (far future): heapIndex_ records its slot.
-     *
-     * heapIndex_ == invalidHeapIndex distinguishes the two. The full
-     * ordering key (priority byte above a 56-bit insertion sequence)
-     * is cached in key_ so list insertion never recomputes it.
+     * Queue linkage. A scheduled event sits either in the queue's heap,
+     * where heapIndex_ records its slot, or in the run-next buffer,
+     * where heapIndex_ == invalidHeapIndex and the queue finds it by
+     * scanning the buffer's few seats. The full ordering key (priority
+     * byte above a 56-bit insertion sequence) is cached in key_ so the
+     * buffer's sorted insert never recomputes it.
      */
     Tick when_ = 0;
     std::uint64_t key_ = 0;
-    Event *prev_ = nullptr;
-    Event *next_ = nullptr;
     std::size_t heapIndex_ = invalidHeapIndex;
     bool scheduled_ = false;
     /** Logical domain the event executes in (sharded kernel only;

@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/logging.hh"
 
@@ -13,36 +12,12 @@ namespace {
 constexpr std::uint64_t seqBits = 56;
 constexpr std::uint64_t seqMask = (std::uint64_t{1} << seqBits) - 1;
 
-/** Ticks at/above this would overflow the window arithmetic; events
- *  there are served straight from the overflow heap. */
-constexpr Tick calendarCeiling = maxTick - EventQueue::ringHorizon;
-
-constexpr std::size_t
-lowestBit(std::uint64_t word)
-{
-    return static_cast<std::size_t>(std::countr_zero(word));
-}
-
 } // namespace
-
-EventQueue::EventQueue()
-    : buckets_(bucketCount), occupied_(bitmapWords, 0)
-{
-}
 
 EventQueue::~EventQueue()
 {
     // Events still pending go back to their pools; member events are
     // simply detached.
-    for (Bucket &bucket : buckets_) {
-        for (Event *ev = bucket.head; ev != nullptr;) {
-            Event *next = ev->next_;
-            ev->scheduled_ = false;
-            ev->prev_ = ev->next_ = nullptr;
-            ev->release();
-            ev = next;
-        }
-    }
     for (HeapEntry &entry : heap_) {
         entry.ev->scheduled_ = false;
         entry.ev->heapIndex_ = Event::invalidHeapIndex;
@@ -115,15 +90,15 @@ EventQueue::enqueuePrepared(Event &ev)
         std::size_t n = runNextLive_;
         if (n == runNextCap) {
             // Full: the latest-ordering event loses its seat --
-            // either the newcomer goes straight to a calendar plane,
-            // or the current back is spilled to make room.
+            // either the newcomer goes straight to the heap, or the
+            // current back is spilled to make room.
             Event *back = runNext_[n - 1];
             if (ev.when_ > back->when_ ||
                 (ev.when_ == back->when_ && ev.key_ > back->key_)) {
-                insertPrepared(ev);
+                heapPush(ev);
                 return;
             }
-            insertPrepared(*back);
+            heapPush(*back);
             --n;
         }
         // Sorted insert scanned from the back: a freshly scheduled
@@ -140,17 +115,7 @@ EventQueue::enqueuePrepared(Event &ev)
         runNextLive_ = n + 1;
         return;
     }
-    insertPrepared(ev);
-}
-
-void
-EventQueue::insertPrepared(Event &ev)
-{
-    ++inserts_;
-    if (ev.when_ < ringLimit_)
-        ringInsert(ev);
-    else
-        heapPush(ev);
+    heapPush(ev);
 }
 
 bool
@@ -167,7 +132,7 @@ EventQueue::chainAdvance(Tick when, std::uint64_t key,
     if (when > runLimit_)
         return false;
     // Nothing already queued may order before the hop, or inlining it
-    // would reorder against the calendar's total order.
+    // would reorder against the queue's total order.
     if (!empty()) {
         const Event *min = peekEarliest();
         if (min->when_ < when ||
@@ -176,7 +141,6 @@ EventQueue::chainAdvance(Tick when, std::uint64_t key,
         }
     }
     now_ = when;
-    advanceWindow(now_);
     ++executed_;  // a fused hop is still one executed event
     *domainSink_ = domain;
     return true;
@@ -196,212 +160,30 @@ EventQueue::deschedule(Event &ev)
             return;
         }
     }
-    if (ev.heapIndex_ != Event::invalidHeapIndex) {
-        dsp_assert(ev.heapIndex_ < heap_.size() &&
-                       heap_[ev.heapIndex_].ev == &ev,
-                   "event/queue mismatch in deschedule");
-        heapRemoveAt(ev.heapIndex_);
-    } else {
-        // A list head must be this queue's bucket head; catches an
-        // event descheduled on the wrong queue before its unlink can
-        // corrupt this queue's bucket lists.
-        dsp_assert(ev.prev_ != nullptr ||
-                       buckets_[bucketOf(ev.when_)].head == &ev,
-                   "event/queue mismatch in deschedule");
-        ringRemove(ev);
-    }
+    // Not parked, so it must sit in this queue's heap; catches an
+    // event descheduled on the wrong queue before the removal can
+    // corrupt this heap.
+    dsp_assert(ev.heapIndex_ < heap_.size() &&
+                   heap_[ev.heapIndex_].ev == &ev,
+               "event/queue mismatch in deschedule");
+    heapRemoveAt(ev.heapIndex_);
     ev.scheduled_ = false;
     ev.release();
-}
-
-// ---- ring plane -----------------------------------------------------------
-
-void
-EventQueue::setOccupied(std::size_t b)
-{
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-    occupiedSummary_ |= std::uint64_t{1} << (b >> 6);
-}
-
-void
-EventQueue::clearOccupied(std::size_t b)
-{
-    occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    if (occupied_[b >> 6] == 0)
-        occupiedSummary_ &= ~(std::uint64_t{1} << (b >> 6));
-}
-
-std::size_t
-EventQueue::firstOccupiedBucket() const
-{
-    // Circular scan from the cursor: bits at/after it in its word,
-    // then later words, then the wrapped-around words, and finally the
-    // cursor word's bits before the cursor (one whole lap).
-    const std::size_t c = cursor();
-    const std::size_t cw = c >> 6;
-
-    if (std::uint64_t bits = occupied_[cw] >> (c & 63))
-        return c + lowestBit(bits);
-
-    std::uint64_t above =
-        cw + 1 < bitmapWords
-            ? occupiedSummary_ & (~std::uint64_t{0} << (cw + 1))
-            : 0;
-    if (above) {
-        std::size_t w = lowestBit(above);
-        return (w << 6) + lowestBit(occupied_[w]);
-    }
-
-    if (std::uint64_t below =
-            occupiedSummary_ & ((std::uint64_t{1} << cw) - 1)) {
-        std::size_t w = lowestBit(below);
-        return (w << 6) + lowestBit(occupied_[w]);
-    }
-
-    std::uint64_t tail =
-        (c & 63) ? occupied_[cw] & ((std::uint64_t{1} << (c & 63)) - 1)
-                 : 0;
-    dsp_assert(tail != 0, "ring bitmap inconsistent");
-    return (cw << 6) + lowestBit(tail);
-}
-
-void
-EventQueue::ringInsert(Event &ev)
-{
-    std::size_t b = bucketOf(ev.when_);
-    Bucket &bucket = buckets_[b];
-
-    // Sorted insert scanned from the tail: the simulator schedules
-    // overwhelmingly in ascending (when, key) order, so this is an
-    // O(1) append in the steady state.
-    Event *after = bucket.tail;
-    while (after != nullptr &&
-           (after->when_ > ev.when_ ||
-            (after->when_ == ev.when_ && after->key_ > ev.key_))) {
-        after = after->prev_;
-    }
-
-    ev.prev_ = after;
-    if (after != nullptr) {
-        ev.next_ = after->next_;
-        after->next_ = &ev;
-    } else {
-        ev.next_ = bucket.head;
-        bucket.head = &ev;
-    }
-    if (ev.next_ != nullptr)
-        ev.next_->prev_ = &ev;
-    else
-        bucket.tail = &ev;
-
-    setOccupied(b);
-    ++ringLive_;
-}
-
-void
-EventQueue::ringRemove(Event &ev)
-{
-    std::size_t b = bucketOf(ev.when_);
-    Bucket &bucket = buckets_[b];
-
-    if (ev.prev_ != nullptr)
-        ev.prev_->next_ = ev.next_;
-    else
-        bucket.head = ev.next_;
-    if (ev.next_ != nullptr)
-        ev.next_->prev_ = ev.prev_;
-    else
-        bucket.tail = ev.prev_;
-
-    if (bucket.head == nullptr)
-        clearOccupied(b);
-    ev.prev_ = ev.next_ = nullptr;
-    --ringLive_;
-}
-
-void
-EventQueue::advanceWindow(Tick upTo)
-{
-    if (upTo >= calendarCeiling)
-        return;  // stay put; the heap serves the top of the tick range
-    Tick target = ((upTo >> bucketShift) << bucketShift) + ringHorizon;
-    if (target <= ringLimit_)
-        return;
-    ringLimit_ = target;
-    // Overflow events now inside the window migrate to their buckets
-    // (which the advancing cursor has just freed).
-    while (!heap_.empty() && heap_.front().when < ringLimit_)
-        ringInsert(*heapRemoveAt(0));
-}
-
-std::size_t
-EventQueue::nextOccupiedAfter(std::size_t b) const
-{
-    // Window order is circular from the cursor; a bucket's position
-    // in that order is its circular distance from the cursor. Scan
-    // every occupied bucket (windows hold tens of events, so this is
-    // a handful of word operations once per window) and keep the one
-    // closest behind `b`.
-    const std::size_t c = cursor();
-    const std::size_t b_pos = (b - c) & bucketMask;
-    std::size_t best = bucketCount;
-    std::size_t best_pos = bucketCount;
-    std::uint64_t summary = occupiedSummary_;
-    while (summary != 0) {
-        std::size_t w = lowestBit(summary);
-        summary &= summary - 1;
-        std::uint64_t bits = occupied_[w];
-        while (bits != 0) {
-            std::size_t bucket = (w << 6) + lowestBit(bits);
-            bits &= bits - 1;
-            std::size_t pos = (bucket - c) & bucketMask;
-            if (pos > b_pos && pos < best_pos) {
-                best = bucket;
-                best_pos = pos;
-            }
-        }
-    }
-    return best;
-}
-
-void
-EventQueue::planesEarliestTwo(Tick &first, Tick &second) const
-{
-    first = maxTick;
-    second = maxTick;
-    if (ringLive_ == 0) {
-        // Both minima come from the overflow heap: the root, then the
-        // smallest of its (up to four) children.
-        if (heap_.empty())
-            return;
-        first = heap_.front().when;
-        std::size_t last = std::min(heapArity + 1, heap_.size());
-        for (std::size_t c = 1; c < last; ++c)
-            second = std::min(second, heap_[c].when);
-        return;
-    }
-
-    // Ring events always precede heap events (the heap only holds
-    // when >= ringLimit_). Within the ring, bucket window order is
-    // tick order and each bucket's list is sorted.
-    std::size_t b1 = firstOccupiedBucket();
-    const Event *head = buckets_[b1].head;
-    first = head->when_;
-    if (head->next_ != nullptr)
-        second = head->next_->when_;
-    if (ringLive_ > 1) {
-        std::size_t b2 = nextOccupiedAfter(b1);
-        if (b2 != bucketCount)
-            second = std::min(second, buckets_[b2].head->when_);
-    } else if (!heap_.empty()) {
-        second = heap_.front().when;
-    }
 }
 
 void
 EventQueue::earliestTwo(Tick &first, Tick &second) const
 {
-    planesEarliestTwo(first, second);
+    // The two heap minima are the root and the smallest of its (up
+    // to four) children.
+    first = maxTick;
+    second = maxTick;
+    if (!heap_.empty()) {
+        first = heap_.front().when;
+        std::size_t last = std::min(heapArity + 1, heap_.size());
+        for (std::size_t c = 1; c < last; ++c)
+            second = std::min(second, heap_[c].when);
+    }
     // The buffer is sorted, so its first two entries are the only
     // candidates for the global two-smallest multiset.
     for (std::size_t i = 0; i < runNextLive_ && i < 2; ++i) {
@@ -426,25 +208,13 @@ EventQueue::advanceTo(Tick t)
                static_cast<unsigned long long>(
                    peekEarliest()->when_));
     now_ = t;
-    advanceWindow(now_);
 }
 
 Event *
 EventQueue::peekEarliest() const
 {
-    // Ring events always precede overflow events (the heap only holds
-    // when >= ringLimit_), so the ring wins whenever it is non-empty;
-    // otherwise the heap front is the plane minimum directly. The
-    // run-next buffer's front competes on (when, key) like a third
-    // plane. No side effects: peeking must never advance the calendar
-    // window, or a run(limit) that peeks a far-future event without
-    // executing it would leave later near-tick schedules in aliased
-    // buckets.
-    Event *min = nullptr;
-    if (ringLive_ != 0)
-        min = buckets_[firstOccupiedBucket()].head;
-    else if (!heap_.empty())
-        min = heap_.front().ev;
+    // The heap root and the buffer front compete on (when, key).
+    Event *min = heap_.empty() ? nullptr : heap_.front().ev;
     if (runNextLive_ != 0) {
         Event *parked = runNext_[0];
         if (min == nullptr || parked->when_ < min->when_ ||
@@ -454,11 +224,12 @@ EventQueue::peekEarliest() const
     return min;
 }
 
-// ---- overflow plane -------------------------------------------------------
+// ---- heap -----------------------------------------------------------------
 
 void
 EventQueue::heapPush(Event &ev)
 {
+    ++inserts_;
     ev.heapIndex_ = heap_.size();
     heap_.push_back(HeapEntry{ev.when_, ev.key_, &ev});
     siftUp(heap_.size() - 1);
@@ -524,22 +295,17 @@ void
 EventQueue::execute(Event *ev)
 {
     if (runNextLive_ != 0 && ev == runNext_[0]) {
-        // Served straight from the run-next buffer: neither calendar
-        // plane was ever touched, so no pop is counted (its insert
-        // was skipped too).
+        // Served straight from the run-next buffer: the heap was never
+        // touched, so no pop is counted (its insert was skipped too).
         --runNextLive_;
         for (std::size_t i = 0; i < runNextLive_; ++i)
             runNext_[i] = runNext_[i + 1];
     } else {
-        if (ev->heapIndex_ != Event::invalidHeapIndex)
-            heapRemoveAt(ev->heapIndex_);
-        else
-            ringRemove(*ev);
+        heapRemoveAt(ev->heapIndex_);
         ++pops_;
     }
     ev->scheduled_ = false;
     now_ = ev->when_;
-    advanceWindow(now_);
     ++executed_;
     *domainSink_ = ev->domain_;
     ev->process();
@@ -570,10 +336,8 @@ EventQueue::run(Tick limit)
         ++n;
     }
     running_ = false;
-    if (now_ < limit && limit != maxTick) {
+    if (now_ < limit && limit != maxTick)
         now_ = limit;
-        advanceWindow(now_);
-    }
     runLimit_ = maxTick;
     return n;
 }

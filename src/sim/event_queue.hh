@@ -2,21 +2,26 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A two-level calendar/bucket queue over intrusive events. Coherence
- * traffic is overwhelmingly short-horizon (link hops, controller
- * latencies, CPU quanta -- all well under a microsecond), so the queue
- * keeps a power-of-two ring of tick buckets covering the next ~2 us:
- * schedule and execute are O(1) there, with a two-level occupancy
- * bitmap skipping empty buckets in a handful of bit operations. Events
- * beyond the ring's horizon -- rare -- wait in a small 4-ary overflow
- * heap and migrate into the ring as the window advances past them.
+ * One queue of intrusive events in strict (tick, key) order, where the
+ * key packs priority above insertion order. It has two parts:
  *
- * Events are intrusive (sim/event.hh): bucket linkage lives inside the
- * Event, events are recycled through slab pools, and the whole
- * schedule/execute path performs zero heap allocations. Ties are
+ *  - a 4-ary min-heap holding everything scheduled from outside run(),
+ *    plus whatever the run-next buffer spills;
+ *  - a 16-seat sorted run-next buffer in front of it. Events scheduled
+ *    by a running handler park there: they are the next hops of
+ *    in-flight transactions and overwhelmingly the next events to run.
+ *
+ * On the Figure-7 configs 90-97% of executed events never touch the
+ * heap: the buffer or a fused hop chain serves them (compare
+ * calendar_ops_per_miss with events per miss in BENCH_hotpath.json).
+ * That is why the heap needs no faster structure in front of it
+ * (docs/parallel_kernel.md).
+ *
+ * Events are intrusive (sim/event.hh): the heap slot index lives
+ * inside the Event, events are recycled through slab pools, and the
+ * whole schedule/execute path performs zero heap allocations. Ties are
  * broken first by an explicit priority, then by insertion order, so
- * execution is fully deterministic and identical to the total order
- * the previous heap-based kernel produced.
+ * execution is fully deterministic.
  */
 
 #ifndef DSP_SIM_EVENT_QUEUE_HH
@@ -46,13 +51,14 @@ enum class EventPriority : int {
 /**
  * Deterministic discrete-event queue.
  *
- * Not thread safe; the whole simulator is single threaded by design (it
- * models parallelism, it does not use it).
+ * Not thread safe. Under the sharded kernel each shard owns one queue
+ * and only that shard's thread touches it; events for other shards
+ * travel through mailboxes (sim/sharded_kernel.hh).
  */
 class EventQueue
 {
   public:
-    EventQueue();
+    EventQueue() = default;
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -145,7 +151,7 @@ class EventQueue
      * hop's domain is published to the domain sink exactly as a real
      * pop would; the caller then runs the hop's work inline. On
      * refusal nothing changes -- the caller re-inserts itself with
-     * scheduleWithKey() and the calendar serves the hop normally.
+     * scheduleWithKey() and the queue serves the hop normally.
      */
     bool chainAdvance(Tick when, std::uint64_t key,
                       std::uint16_t domain);
@@ -155,12 +161,15 @@ class EventQueue
      *  planned around (always true outside run()). */
     bool withinRun(Tick when) const { return when <= runLimit_; }
 
-    /** Calendar work over the queue's lifetime: schedule insertions
-     *  plus executed pops. Fused chain hops skip both planes, so this
-     *  is the counter chain fusion exists to shrink. */
+    /** Heap work over the queue's lifetime: heap inserts plus heap
+     *  pops, i.e. every event the run-next buffer did not serve
+     *  (counted once on the way in and once on the way out). Fused
+     *  chain hops and buffer-served events cost neither, so this is
+     *  the counter chain fusion and the buffer exist to shrink.
+     *  Benches report it as calendar_ops_per_miss. */
     std::uint64_t calendarOps() const { return inserts_ + pops_; }
 
-    /** Restore the lifetime calendar-op counter from a checkpoint. */
+    /** Restore the lifetime heap-op counter from a checkpoint. */
     void
     ckptSetCalendarOps(std::uint64_t n)
     {
@@ -172,7 +181,7 @@ class EventQueue
     bool
     empty() const
     {
-        return ringLive_ == 0 && heap_.empty() && runNextLive_ == 0;
+        return heap_.empty() && runNextLive_ == 0;
     }
 
     /** Tick of the earliest pending event (maxTick when empty). */
@@ -214,7 +223,7 @@ class EventQueue
     std::size_t
     pending() const
     {
-        return ringLive_ + heap_.size() + runNextLive_;
+        return heap_.size() + runNextLive_;
     }
 
     /** Execute the single earliest event, advancing time. */
@@ -233,7 +242,7 @@ class EventQueue
     void ckptSetExecuted(std::uint64_t n) { executed_ = n; }
 
     /**
-     * Visit every pending event (both planes, no particular order)
+     * Visit every pending event (heap and buffer, no particular order)
      * with its scheduling coordinates: fn(ev, when, key, domain).
      * Checkpointing uses this to enumerate in-flight events at a
      * quiescent barrier; callers sort by (when, key) themselves to
@@ -243,12 +252,6 @@ class EventQueue
     void
     forEachPending(Fn &&fn) const
     {
-        for (const Bucket &bucket : buckets_) {
-            for (Event *ev = bucket.head; ev != nullptr;
-                 ev = ev->next_) {
-                fn(*ev, ev->when_, ev->key_, ev->domain_);
-            }
-        }
         for (const HeapEntry &entry : heap_)
             fn(*entry.ev, entry.when, entry.key, entry.ev->domain_);
         for (std::size_t i = 0; i < runNextLive_; ++i) {
@@ -257,38 +260,9 @@ class EventQueue
         }
     }
 
-    // ---- calendar geometry (public so tests can straddle it) -------------
-
-    /** log2 of the tick width of one calendar bucket. */
-    static constexpr std::size_t bucketShift = 9;
-
-    /** Number of ring buckets (power of two). */
-    static constexpr std::size_t bucketCount = 4096;
-
-    /** Tick span of one bucket (512 ticks ~ half a nanosecond). */
-    static constexpr Tick bucketWidth = Tick{1} << bucketShift;
-
-    /**
-     * Tick span the ring covers ahead of the window start (~2.1 us).
-     * Events scheduled farther out go to the overflow heap first.
-     */
-    static constexpr Tick ringHorizon = bucketWidth * bucketCount;
-
   private:
-    static constexpr std::size_t bucketMask = bucketCount - 1;
-
-    /** Bitmap words covering the ring (64 buckets per word). */
-    static constexpr std::size_t bitmapWords = bucketCount / 64;
-
-    /** One calendar bucket: a (when, key)-sorted doubly-linked list
-     *  threaded through the events themselves. */
-    struct Bucket {
-        Event *head = nullptr;
-        Event *tail = nullptr;
-    };
-
     /**
-     * One overflow-heap slot: the full ordering key plus the event.
+     * One heap slot: the full ordering key plus the event.
      * Priority (one byte) is packed above a 56-bit insertion sequence,
      * so the (tick, priority, sequence) contract is two integer
      * compares.
@@ -313,81 +287,35 @@ class EventQueue
 
     void assertSchedulable(Tick when) const;
 
-    // ---- ring plane -------------------------------------------------------
-
-    static std::size_t
-    bucketOf(Tick when)
-    {
-        return static_cast<std::size_t>(when >> bucketShift) &
-               bucketMask;
-    }
-
-    /** Index of the bucket the window starts at (== bucketOf of the
-     *  window start, which aliases bucketOf(ringLimit_)). */
-    std::size_t cursor() const { return bucketOf(ringLimit_); }
-
-    void setOccupied(std::size_t b);
-    void clearOccupied(std::size_t b);
-
-    /** First occupied bucket in window order from the cursor; the
-     *  ring must be non-empty. */
-    std::size_t firstOccupiedBucket() const;
-
-    /** Next occupied bucket strictly after `b` in window order, or
-     *  bucketCount if none. */
-    std::size_t nextOccupiedAfter(std::size_t b) const;
-
-    /** earliestTwo over the two calendar planes only (the public
-     *  earliestTwo merges the run-next buffer on top). */
-    void planesEarliestTwo(Tick &first, Tick &second) const;
-
     /**
      * Enqueue a prepared event (when_/key_/scheduled_ set). An event
      * scheduled from inside run() parks in the small sorted run-next
-     * buffer instead of entering a calendar plane: the hops the
-     * in-flight transactions schedule next are overwhelmingly the
-     * next things to run, and consuming one from the buffer skips the
-     * bucket insert and pop entirely (the sequential half of chain
-     * fusion -- the request->order->deliver->supply ladder -- without
-     * touching any call site). The buffer competes with the calendar
-     * planes on exact (when, key) order everywhere the queue compares
-     * events, so execution order is bit-identical to a pure calendar;
-     * when it fills, the latest-ordering parked event spills to a
-     * calendar plane. Parked events survive run() boundaries -- every
-     * observer (pending counts, earliest queries, checkpoints via
-     * forEachPending, deschedule) treats the buffer as a third plane.
-     * Only the calendar-op counter notices: buffer-served events cost
-     * no insert and no pop, which is the point.
+     * buffer instead of entering the heap: the hops the in-flight
+     * transactions schedule next are overwhelmingly the next things
+     * to run, and consuming one from the buffer skips the heap insert
+     * and pop entirely (the sequential half of chain fusion -- the
+     * request->order->deliver->supply ladder -- without touching any
+     * call site). The buffer competes with the heap on exact
+     * (when, key) order everywhere the queue compares events, so
+     * execution order is bit-identical to a heap alone; when it
+     * fills, the latest-ordering parked event spills to the heap.
+     * Parked events survive run() boundaries -- every observer
+     * (pending counts, earliest queries, checkpoints via
+     * forEachPending, deschedule) sees the buffer as well as the
+     * heap. Only the heap-op counter notices: buffer-served events
+     * cost no insert and no pop, which is the point.
      */
     void enqueuePrepared(Event &ev);
 
-    /** Insert a prepared event into a calendar plane, counting the
-     *  insert. */
-    void insertPrepared(Event &ev);
-
-    /** Insert a prepared event (when_/key_ set) into its bucket's
-     *  sorted list. */
-    void ringInsert(Event &ev);
-
-    /** Unlink a ring event from its bucket. */
-    void ringRemove(Event &ev);
-
-    /**
-     * Grow the ring window so `upTo` lies strictly below ringLimit_,
-     * migrating overflow events that fall inside the new window.
-     */
-    void advanceWindow(Tick upTo);
-
-    /** Earliest pending event, whichever plane holds it; no side
+    /** Earliest pending event, heap root or buffer front; no side
      *  effects. The queue must be non-empty. */
     Event *peekEarliest() const;
 
-    /** Detach and run one event (the current minimum, from either
-     *  plane). */
+    /** Detach and run one event (the current minimum, from the heap
+     *  or the buffer). */
     void execute(Event *ev);
 
-    // ---- overflow plane ---------------------------------------------------
-
+    /** Insert a prepared event into the heap, counting the insert. */
     void heapPush(Event &ev);
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
@@ -402,12 +330,6 @@ class EventQueue
         entry.ev->heapIndex_ = i;
     }
 
-    std::vector<Bucket> buckets_;
-    std::vector<std::uint64_t> occupied_;  ///< per-word bucket bitmap
-    std::uint64_t occupiedSummary_ = 0;    ///< bit per bitmap word
-    std::size_t ringLive_ = 0;
-    Tick ringLimit_ = ringHorizon;  ///< exclusive upper ring coverage
-
     std::vector<HeapEntry> heap_;
 
     /** Capacity of the run-next buffer: enough seats for every
@@ -416,9 +338,9 @@ class EventQueue
      *  few pointer moves within two cache lines. */
     static constexpr std::size_t runNextCap = 16;
 
-    /** Run-next buffer: events parked outside both calendar planes,
-     *  sorted ascending by (when, key) so runNext_[0] is its minimum
-     *  (see enqueuePrepared). */
+    /** Run-next buffer: events parked outside the heap, sorted
+     *  ascending by (when, key) so runNext_[0] is its minimum (see
+     *  enqueuePrepared). */
     Event *runNext_[runNextCap] = {};
     std::size_t runNextLive_ = 0;
 

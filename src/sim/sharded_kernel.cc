@@ -657,7 +657,7 @@ ShardedKernel::ckptLoadCounters(ckpt::Reader &r)
     batchedWindows_ = r.u64();
     // The per-shard split of the executed count is partition-dependent;
     // the lifetime total is not. Park it all on shard 0. Same for the
-    // calendar-op total (a host-cost attribution counter, not a
+    // heap-op total (a host-cost attribution counter, not a
     // simulation statistic).
     shards_[0]->queue.ckptSetExecuted(r.u64());
     shards_[0]->queue.ckptSetCalendarOps(r.u64());

@@ -6,20 +6,20 @@
  * The simulator's components are grouped into *domains* -- logical
  * processes that own disjoint state (one per simulated node, plus one
  * for the interconnect ordering point). Domains are partitioned onto
- * *shards*, each with its own calendar/bucket EventQueue, and shards
- * execute on host threads in lock-step windows of width L, the
- * *lookahead*: the minimum latency of any cross-domain interaction
- * (one crossbar link hop). Within a window every shard runs
- * independently; an event scheduled into another shard is posted to a
- * single-writer, double-buffered mailbox and drained right after the
- * next barrier crossing, which is safe because conservative lookahead
- * guarantees it cannot fire before the next window starts. Each
- * window costs exactly one barrier crossing: shards publish their
- * queue summaries and outbound-mail minima before arriving, so the
- * last arriver plans the next window and releases in the same
- * crossing. Stretches where only one shard has pending work inside
- * the horizon are batched -- several windows per crossing -- with
- * K-independent entry and truncation rules (see planNext()).
+ * *shards*, each with its own EventQueue (a heap behind a run-next
+ * buffer, sim/event_queue.hh), and shards execute on host threads in
+ * lock-step windows of width L, the *lookahead*: the minimum latency
+ * of any cross-domain interaction (one crossbar link hop). Within a
+ * window every shard runs independently; an event scheduled into
+ * another shard is posted to a single-writer, double-buffered mailbox
+ * and drained right after the next barrier crossing, which is safe
+ * because conservative lookahead guarantees it cannot fire before the
+ * next window starts. Each window costs exactly one barrier crossing:
+ * shards publish their queue summaries and outbound-mail minima before
+ * arriving, so the last arriver plans the next window and releases in
+ * the same crossing. Stretches where only one shard has pending work
+ * inside the horizon are batched -- several windows per crossing --
+ * with K-independent entry and truncation rules (see planNext()).
  *
  * Determinism contract (the non-negotiable invariant): a K-shard run
  * executes *exactly* the same events in *exactly* the same per-domain
@@ -217,9 +217,9 @@ class ShardedKernel
     /** Total events executed across all shards. */
     std::uint64_t executed() const;
 
-    /** Calendar insertions + pops across all shards (quiescent state
-     *  only); fused chain hops bypass both, so this is the cost the
-     *  bench's calendar_ops_per_miss attributes. */
+    /** Heap inserts + pops across all shards (quiescent state only);
+     *  fused chain hops and run-next-buffer hits bypass both, so this
+     *  is the cost the bench's calendar_ops_per_miss attributes. */
     std::uint64_t calendarOps() const;
 
     /** True when no shard has pending events (quiescent state only). */
@@ -251,9 +251,8 @@ class ShardedKernel
     /** The common quiescent shard clock. */
     Tick ckptNow() const { return shards_[0]->queue.now(); }
 
-    /** Advance every (fresh) shard queue to the checkpointed clock,
-     *  reproducing each queue's calendar-window position. Must run
-     *  before any ckptSchedule() call. */
+    /** Advance every (fresh) shard queue to the checkpointed clock.
+     *  Must run before any ckptSchedule() call. */
     void ckptAdvanceTo(Tick t);
 
     /** Re-insert a restored event with its original key; routed to the

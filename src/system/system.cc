@@ -1143,7 +1143,7 @@ System::ckptLoadState(ckpt::Reader &r)
     nextCkptTick_ = r.u64();
 
     // Queues must sit at the checkpointed clock before any event is
-    // re-inserted (calendar-window positioning).
+    // re-inserted.
     kernel_.ckptAdvanceTo(now);
     kernel_.ckptLoadCounters(r);
     workload_.ckptLoad(r);

@@ -214,9 +214,9 @@ struct SystemStats {
      *  the debug walk counters: 0 when built with NDEBUG. */
     std::uint64_t wordTouches = 0;
 
-    /** Calendar insertions + pops in the measured phase. Fused hop
-     *  chains execute their intermediate hops without re-entering the
-     *  calendar, so this (divided by misses) is the figure of merit
+    /** Event-queue heap inserts + pops in the measured phase (see
+     *  EventQueue::calendarOps). Fused hop chains execute their
+     *  intermediate hops without re-entering the queue, so this (divided by misses) is the figure of merit
      *  the fusion optimisation moves. Partition-dependent: a chain
      *  advance can be refused near a shard-window boundary and fall
      *  back to a real insert, so the count may differ across shard

@@ -6,6 +6,7 @@
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -78,59 +79,72 @@ writeTrace(const Trace &trace, const std::string &path)
     return true;
 }
 
-Trace
-readTrace(const std::string &path)
+bool
+tryReadTrace(const std::string &path, Trace &trace, std::string &why)
 {
+    auto fail = [&why](std::string msg) {
+        why = std::move(msg);
+        return false;
+    };
+
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f)
-        dsp_fatal("cannot open trace file '%s'", path.c_str());
+        return fail(detail::formatString("cannot open trace file '%s'",
+                                         path.c_str()));
 
     TraceHeader header;
     if (std::fread(&header, sizeof(header), 1, f.get()) != 1)
-        dsp_fatal("truncated trace header in '%s'", path.c_str());
+        return fail(detail::formatString("truncated trace header in '%s'",
+                                         path.c_str()));
     if (header.magic != traceMagic)
-        dsp_fatal("'%s' is not a dsp trace file", path.c_str());
+        return fail(detail::formatString("'%s' is not a dsp trace file",
+                                         path.c_str()));
     if (header.version != traceVersion)
-        dsp_fatal("trace version %u unsupported (expected %u)",
-                  header.version, traceVersion);
+        return fail(detail::formatString(
+            "trace version %u unsupported (expected %u)", header.version,
+            traceVersion));
 
     // Every header field is checked before it sizes or indexes
     // anything: a garbled count must not reach the allocator, and a
     // zero or oversized machine must not reach homeOf().
     struct stat st;
     if (::fstat(::fileno(f.get()), &st) != 0)
-        dsp_fatal("cannot stat trace file '%s'", path.c_str());
+        return fail(detail::formatString("cannot stat trace file '%s'",
+                                         path.c_str()));
     std::uint64_t body = static_cast<std::uint64_t>(st.st_size) -
                          sizeof(header);
     if (header.recordCount != body / sizeof(TraceRecord) ||
         body % sizeof(TraceRecord) != 0) {
-        dsp_fatal("'%s' declares %llu trace records but holds %llu "
-                  "bytes of them (truncated or garbled)",
-                  path.c_str(),
-                  static_cast<unsigned long long>(header.recordCount),
-                  static_cast<unsigned long long>(body));
+        return fail(detail::formatString(
+            "'%s' declares %llu trace records but holds %llu bytes of "
+            "them (truncated or garbled)",
+            path.c_str(),
+            static_cast<unsigned long long>(header.recordCount),
+            static_cast<unsigned long long>(body)));
     }
     if (header.numNodes < 1 || header.numNodes > DestinationSet::maskNodes)
-        dsp_fatal("'%s' declares %u nodes (a trace holds 1..%u)",
-                  path.c_str(), header.numNodes, DestinationSet::maskNodes);
+        return fail(detail::formatString(
+            "'%s' declares %u nodes (a trace holds 1..%u)", path.c_str(),
+            header.numNodes, DestinationSet::maskNodes));
     if (header.warmupRecords > header.recordCount)
-        dsp_fatal("'%s' declares %llu warmup records of only %llu",
-                  path.c_str(),
-                  static_cast<unsigned long long>(header.warmupRecords),
-                  static_cast<unsigned long long>(header.recordCount));
+        return fail(detail::formatString(
+            "'%s' declares %llu warmup records of only %llu", path.c_str(),
+            static_cast<unsigned long long>(header.warmupRecords),
+            static_cast<unsigned long long>(header.recordCount)));
 
-    Trace trace;
-    trace.workloadName.assign(
+    Trace read;
+    read.workloadName.assign(
         header.name, strnlen(header.name, sizeof(header.name)));
-    trace.numNodes = header.numNodes;
-    trace.totalInstructions = header.totalInstructions;
-    trace.warmupRecords = header.warmupRecords;
-    trace.warmupInstructions = header.warmupInstructions;
-    trace.records.resize(header.recordCount);
+    read.numNodes = header.numNodes;
+    read.totalInstructions = header.totalInstructions;
+    read.warmupRecords = header.warmupRecords;
+    read.warmupInstructions = header.warmupInstructions;
+    read.records.resize(header.recordCount);
     if (header.recordCount &&
-        std::fread(trace.records.data(), sizeof(TraceRecord),
+        std::fread(read.records.data(), sizeof(TraceRecord),
                    header.recordCount, f.get()) != header.recordCount) {
-        dsp_fatal("truncated trace records in '%s'", path.c_str());
+        return fail(detail::formatString(
+            "truncated trace records in '%s'", path.c_str()));
     }
 
     // Records index per-node arrays in the evaluators: each must name
@@ -138,19 +152,30 @@ readTrace(const std::string &path)
     const std::uint32_t nodes = header.numNodes;
     const std::uint64_t outside =
         nodes == DestinationSet::maskNodes ? 0 : ~std::uint64_t{0} << nodes;
-    for (std::size_t i = 0; i < trace.records.size(); ++i) {
-        const TraceRecord &r = trace.records[i];
+    for (std::size_t i = 0; i < read.records.size(); ++i) {
+        const TraceRecord &r = read.records[i];
         if (r.requester >= nodes ||
             (r.responder >= nodes &&
              r.responder != TraceRecord::memoryResponder) ||
             (r.requiredMask & outside) != 0 ||
             r.type > static_cast<std::uint8_t>(RequestType::GetExclusive)) {
-            dsp_fatal("'%s' record %zu names a requester, responder, "
-                      "required node or request type outside its "
-                      "%u-node machine",
-                      path.c_str(), i, nodes);
+            return fail(detail::formatString(
+                "'%s' record %zu names a requester, responder, required "
+                "node or request type outside its %u-node machine",
+                path.c_str(), i, nodes));
         }
     }
+    trace = std::move(read);
+    return true;
+}
+
+Trace
+readTrace(const std::string &path)
+{
+    Trace trace;
+    std::string why;
+    if (!tryReadTrace(path, trace, why))
+        dsp_fatal("%s", why.c_str());
     return trace;
 }
 

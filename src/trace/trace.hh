@@ -110,12 +110,18 @@ struct Trace {
 bool writeTrace(const Trace &trace, const std::string &path);
 
 /**
- * Read a trace written by writeTrace(). Calls dsp_fatal on malformed
- * input: bad magic or version, a record count that disagrees with the
- * file size, a node count outside 1..DestinationSet::maskNodes, more
- * warmup records than records, or a record whose requester,
- * responder, required nodes or request type lie outside the machine.
+ * Read a trace written by writeTrace(). Returns false, leaving `trace`
+ * untouched and the reason in `why`, on an unopenable file or
+ * malformed input: bad magic or version, a record count that
+ * disagrees with the file size, a node count outside
+ * 1..DestinationSet::maskNodes, more warmup records than records, or a
+ * record whose requester, responder, required nodes or request type
+ * lie outside the machine.
  */
+bool tryReadTrace(const std::string &path, Trace &trace,
+                  std::string &why);
+
+/** tryReadTrace() that calls dsp_fatal with the reason on failure. */
 Trace readTrace(const std::string &path);
 
 } // namespace dsp

@@ -1,14 +1,20 @@
 /**
  * @file
- * Tests for the benches' strict command-line number parsing
- * (bench/bench_common.hh): every malformed or out-of-range value, and
- * every machine shape the topology cannot build, exits 1 with a
- * `fatal:` line before any simulator object exists.
+ * Tests for the benches' shared helpers (bench/bench_common.hh): strict
+ * command-line number parsing -- every malformed or out-of-range
+ * value, and every machine shape the topology cannot build, exits 1
+ * with a `fatal:` line before any simulator object exists -- and the
+ * on-disk trace cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
+#include <string>
 
 #include "../bench/bench_common.hh"
 
@@ -96,6 +102,84 @@ TEST(BenchOptions, RejectsClustersThatDoNotDivideTheMachine)
                 "fatal: --cluster 5 does not divide --nodes 16");
     EXPECT_EXIT(bench::checkTopology(16, 32), ExitedWithCode(1),
                 "fatal: --cluster 32 does not divide --nodes 16");
+}
+
+/** Runs the enclosing scope in a fresh temporary directory (the
+ *  trace cache lives under the working directory's traces/), and
+ *  restores the working directory however the scope ends. */
+class ScratchCwd
+{
+  public:
+    ScratchCwd()
+    {
+        char tmpl[] = "/tmp/dsp_test_tracecache.XXXXXX";
+        if (::mkdtemp(tmpl) == nullptr) {
+            ADD_FAILURE() << "cannot make a scratch directory";
+            return;
+        }
+        dir_ = tmpl;
+        std::filesystem::current_path(dir_);
+    }
+
+    ScratchCwd(const ScratchCwd &) = delete;
+    ScratchCwd &operator=(const ScratchCwd &) = delete;
+
+    ~ScratchCwd()
+    {
+        if (dir_.empty())
+            return;
+        std::filesystem::current_path(old_);
+        std::filesystem::remove_all(dir_);
+    }
+
+    bool ok() const { return !dir_.empty(); }
+
+  private:
+    const std::filesystem::path old_ = std::filesystem::current_path();
+    std::filesystem::path dir_;
+};
+
+TEST(BenchTraceCache, TruncatedCacheIsRecollected)
+{
+    ScratchCwd cwd;
+    ASSERT_TRUE(cwd.ok());
+
+    bench::Options opt;
+    opt.scale = 0.05;
+    opt.warmupMisses = 200;
+    opt.measureMisses = 300;
+    opt.seed = 7;
+    const std::string name = "barnes";
+    const std::string path = bench::traceCachePath(opt, name);
+
+    // Cache a correct trace under the exact name getOrCollectTrace
+    // looks for, then cut it short, as a full disk or an older writer
+    // could have left it.
+    {
+        auto workload =
+            makeWorkload(name, opt.nodes, opt.seed, opt.scale);
+        TraceCollector collector(*workload);
+        const Trace full =
+            collector.collect(opt.warmupMisses, opt.measureMisses);
+        ASSERT_EQ(::mkdir("traces", 0755), 0);
+        ASSERT_TRUE(writeTrace(full, path));
+    }
+    struct stat st;
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    ASSERT_EQ(::truncate(path.c_str(), st.st_size / 2), 0);
+
+    // A fatal error would throw here instead of exiting.
+    PanicGuard guard;
+    const Trace &trace = bench::getOrCollectTrace(opt, name);
+    EXPECT_EQ(trace.size(), opt.warmupMisses + opt.measureMisses);
+    EXPECT_EQ(trace.workloadName, name);
+
+    // The recollected trace replaced the truncated file.
+    Trace reread;
+    std::string why;
+    ASSERT_TRUE(tryReadTrace(path, reread, why)) << why;
+    EXPECT_EQ(reread.size(), trace.size());
+    EXPECT_EQ(reread.warmupRecords, opt.warmupMisses);
 }
 
 } // namespace

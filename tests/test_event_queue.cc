@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -308,20 +309,21 @@ TEST(EventQueueIntrusive, PendingPooledEventsReleasedOnQueueDestruction)
     EXPECT_TRUE(log.empty());
 }
 
-// ---- calendar-queue specifics --------------------------------------------
+// ---- far-future inputs ----------------------------------------------------
 //
-// The queue is a two-level calendar: a ring of per-tick-range buckets
-// covering EventQueue::ringHorizon ticks ahead, plus an overflow heap
-// for events farther out. These tests straddle that boundary.
+// Coherence traffic is short-horizon (link hops and controller
+// latencies well under a microsecond); these tests mix it with events
+// several microseconds out and pin same-tick order, deschedule, run
+// limits and release on destruction across that range.
 
-constexpr Tick kHorizon = EventQueue::ringHorizon;
+/** About 2 us of ticks: "near" is well inside it, "far" beyond it. */
+constexpr Tick kHorizon = Tick{1} << 21;
 
 TEST(EventQueueCalendar, SameTickOrderAcrossRingAndOverflow)
 {
-    // Events at one far-future tick land in the overflow heap, migrate
-    // into the ring as time advances, and must still run in (priority,
-    // insertion) order -- including against an event scheduled at the
-    // same tick later, directly into the ring.
+    // Events at one far-future tick must run in (priority, insertion)
+    // order -- including against an event scheduled at the same tick
+    // much later, from a handler (so it parks in the run-next buffer).
     EventQueue q;
     std::vector<int> log;
     const Tick far = 3 * kHorizon + 17;
@@ -332,8 +334,8 @@ TEST(EventQueueCalendar, SameTickOrderAcrossRingAndOverflow)
                EventPriority::Controller);
     q.schedule(far, [&log]() { log.push_back(1); },
                EventPriority::NetworkOrder);
-    // A stepping stone inside the first window, so the window advances
-    // (and the far events migrate) before `far` executes.
+    // A stepping stone well before `far` that adds one more event at
+    // that tick.
     q.schedule(kHorizon / 2, [&q, &log, far]() {
         q.schedule(far, [&log]() { log.push_back(4); },
                    EventPriority::Controller);
@@ -350,8 +352,7 @@ TEST(EventQueueCalendar, DescheduleInsideAndOutsideHorizon)
     std::vector<int> log;
     auto &pool = EventPool<PooledTestEvent>::instance();
 
-    // Near events sit in ring buckets, far events in the overflow
-    // heap; deschedule must find and release both.
+    // Deschedule must find and release near and far events alike.
     PooledTestEvent *near_keep = pool.acquire(&log, 1);
     PooledTestEvent *near_cancel = pool.acquire(&log, 90);
     PooledTestEvent *far_keep = pool.acquire(&log, 2);
@@ -375,12 +376,11 @@ TEST(EventQueueCalendar, DescheduleInsideAndOutsideHorizon)
 
 TEST(EventQueueCalendar, RingWrapKeepsTimeOrder)
 {
-    // March time across many ring laps; each event schedules the next
-    // one most of a horizon ahead, so the cursor wraps the bucket
-    // array repeatedly and buckets are reused lap after lap.
+    // March time across many horizons; each event schedules the next
+    // one most of a horizon ahead.
     EventQueue q;
     std::vector<Tick> fired;
-    const Tick stride = kHorizon - 3 * EventQueue::bucketWidth;
+    const Tick stride = kHorizon - 1536;
 
     std::function<void()> hop = [&]() {
         fired.push_back(q.now());
@@ -398,7 +398,7 @@ TEST(EventQueueCalendar, RingWrapKeepsTimeOrder)
 TEST(EventQueueCalendar, OverflowMigrationPreservesInterleaving)
 {
     // Far events one-or-more horizons out interleave with near events
-    // exactly by tick, regardless of which plane they started in.
+    // exactly by tick.
     EventQueue q;
     std::vector<int> log;
     for (int lap = 0; lap < 4; ++lap) {
@@ -413,11 +413,9 @@ TEST(EventQueueCalendar, OverflowMigrationPreservesInterleaving)
 
 TEST(EventQueueCalendar, RunWithLimitLeavesWindowSaneForLaterNearEvents)
 {
-    // Regression test: run(limit) peeking a far-future overflow event
-    // (without executing it) must not advance the calendar window --
-    // otherwise events scheduled afterwards at near ticks would land
-    // in aliased buckets and execute after the far event, running
-    // simulated time backwards.
+    // run(limit) that peeks a far-future event without executing it
+    // must leave the queue able to take, and run first, events
+    // scheduled afterwards at near ticks; time never runs backwards.
     EventQueue q;
     std::vector<std::pair<int, Tick>> log;
 
@@ -440,8 +438,8 @@ TEST(EventQueueCalendar, PendingOverflowEventsReleasedOnDestruction)
     EventPoolStats before = pool.stats();
     {
         EventQueue q;
-        q.schedule(*pool.acquire(&log, 1), 10);            // ring
-        q.schedule(*pool.acquire(&log, 2), 7 * kHorizon);  // overflow
+        q.schedule(*pool.acquire(&log, 1), 10);            // near
+        q.schedule(*pool.acquire(&log, 2), 7 * kHorizon);  // far
     }
     EventPoolStats after = pool.stats();
     EXPECT_EQ(after.acquires - before.acquires, 2u);
@@ -455,8 +453,8 @@ TEST(EventQueueRunNext, HandlerScheduledChainSkipsTheCalendar)
 {
     // A ladder of events, each scheduled from the previous one's
     // handler, is served entirely from the run-next buffer: only the
-    // seed (scheduled outside run()) touches a calendar plane, so the
-    // whole chain costs exactly one insert and one pop.
+    // seed (scheduled outside run()) touches the heap, so the whole
+    // chain costs exactly one insert and one pop.
     EventQueue q;
     int fired = 0;
     std::function<void()> chain = [&]() {
@@ -474,7 +472,7 @@ TEST(EventQueueRunNext, HandlerScheduledChainSkipsTheCalendar)
 
 TEST(EventQueueRunNext, ParkedEventsCompeteInExactTickOrder)
 {
-    // Events parked by a handler interleave with calendar events in
+    // Events parked by a handler interleave with heap events in
     // strict tick order, exactly as if they had been inserted.
     EventQueue q;
     std::vector<int> log;
@@ -491,8 +489,8 @@ TEST(EventQueueRunNext, ParkedEventsCompeteInExactTickOrder)
 TEST(EventQueueRunNext, OverflowSpillsToCalendarAndKeepsOrder)
 {
     // Far more handler-scheduled events than the buffer can seat: the
-    // spill path must hand the excess to the calendar planes without
-    // perturbing the total order.
+    // spill path must hand the excess to the heap without perturbing
+    // the total order.
     EventQueue q;
     std::vector<int> log;
     q.schedule(5, [&]() {
@@ -512,7 +510,7 @@ TEST(EventQueueRunNext, ParkedEventsSurviveRunBoundaries)
 {
     // Events parked during one run() stay parked across the window
     // boundary: pending counts, earliest queries, forEachPending, and
-    // a later run() all see them as if they sat in a calendar plane.
+    // a later run() all see them as if they sat in the heap.
     EventQueue q;
     std::vector<int> log;
     q.schedule(10, [&]() {
@@ -584,103 +582,251 @@ TEST(EventQueueRunNext, PendingParkedEventsReleasedOnDestruction)
 }
 
 /**
- * Randomized equivalence check: the calendar queue must produce
- * exactly the total order of a reference model that sorts stably by
- * (tick, priority, schedule order) -- the contract the previous
- * heap-based kernel implemented directly. Exercises ring scheduling,
- * overflow scheduling, migration, partial runs, and deschedules in
- * both planes.
+ * Reference model for the randomized equivalence check: a std::set
+ * ordered by (tick, priority, schedule order), the queue's contract
+ * stated directly. The harness drives the queue and the model in lock
+ * step. Every executed event checks that it is the model's minimum,
+ * checks the queue's queries, and may schedule follow-ups from inside
+ * its handler -- sometimes more than the run-next buffer has seats --
+ * so parking, spilling and buffer-served execution all run at random.
  */
-TEST(EventQueueCalendar, RandomizedHeapEquivalence)
+class QueueModelHarness
 {
-    struct Ref {
-        Tick when;
-        int prio;
-        std::size_t order;
+  public:
+    /** Pooled event that reports its execution to the harness. */
+    struct ModelEvent final : Event {
+        ModelEvent(QueueModelHarness *h, int i) : harness(h), id(i) {}
+
+        void process() override { harness->onExecute(id); }
+
+        void
+        release() override
+        {
+            EventPool<ModelEvent>::instance().release(this);
+        }
+
+        QueueModelHarness *harness;
         int id;
     };
 
-    std::mt19937_64 rng(12345);
-    const EventPriority prios[] = {
+    /** Handlers that scheduled more follow-ups than the buffer seats. */
+    int wideFanouts = 0;
+
+    std::uint64_t executedCount = 0;
+
+    explicit QueueModelHarness(EventQueue &q) : q_(q) {}
+
+    // Pending events point back at the harness.
+    QueueModelHarness(const QueueModelHarness &) = delete;
+    QueueModelHarness &operator=(const QueueModelHarness &) = delete;
+
+    /**
+     * Schedule a fresh event at `when`. `depth` bounds how many
+     * generations of follow-ups it may still spawn.
+     */
+    void
+    schedule(Tick when, int depth)
+    {
+        const auto prio = prios_[pick(prioCount - 1)];
+        const int id = static_cast<int>(refs_.size());
+        auto *ev = EventPool<ModelEvent>::instance().acquire(this, id);
+        q_.schedule(*ev, when, prio);
+        refs_.push_back(Ref{when, static_cast<std::uint64_t>(prio),
+                            order_++, depth, ev, true});
+        model_.insert(keyOf(id));
+    }
+
+    /** Deschedule a random quarter of whatever is still pending. */
+    void
+    cancelSome()
+    {
+        for (std::size_t id = 0; id < refs_.size(); ++id) {
+            Ref &r = refs_[id];
+            if (!r.pending || pick(3) != 0)
+                continue;
+            q_.deschedule(*r.ev);
+            model_.erase(keyOf(static_cast<int>(id)));
+            r.pending = false;
+        }
+    }
+
+    /** The kernel-facing queries must match the model exactly. */
+    void
+    checkQueries() const
+    {
+        ASSERT_EQ(q_.pending(), model_.size());
+        ASSERT_EQ(q_.empty(), model_.empty());
+
+        Tick first = 0;
+        Tick second = 0;
+        q_.earliestTwo(first, second);
+        auto it = model_.begin();
+        const Tick want_first =
+            it == model_.end() ? maxTick : std::get<0>(*it++);
+        const Tick want_second =
+            it == model_.end() ? maxTick : std::get<0>(*it);
+        EXPECT_EQ(first, want_first);
+        EXPECT_EQ(second, want_second);
+        EXPECT_EQ(q_.earliestTick(), want_first);
+
+        // (tick, key) multiset: the key packs priority above the
+        // queue's insertion sequence, which counts exactly like the
+        // model's schedule order on a fresh queue.
+        std::vector<std::pair<Tick, std::uint64_t>> seen;
+        q_.forEachPending([&](const Event &, Tick when,
+                              std::uint64_t key, std::uint16_t) {
+            seen.emplace_back(when, key);
+        });
+        std::vector<std::pair<Tick, std::uint64_t>> want;
+        for (const auto &[when, prio, order, id] : model_)
+            want.emplace_back(when, (prio << 56) | order);
+        std::sort(seen.begin(), seen.end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(seen, want);
+    }
+
+    /** Nothing at or before `limit` may be left pending after run(). */
+    bool
+    modelDrainedThrough(Tick limit) const
+    {
+        return model_.empty() || std::get<0>(*model_.begin()) > limit;
+    }
+
+  private:
+    struct Ref {
+        Tick when;
+        std::uint64_t prio;
+        std::uint64_t order;
+        int depth;
+        ModelEvent *ev;  ///< valid only while pending
+        bool pending;
+    };
+
+    using Key = std::tuple<Tick, std::uint64_t, std::uint64_t, int>;
+
+    static constexpr int prioCount = 5;
+
+    Key
+    keyOf(int id) const
+    {
+        const Ref &r = refs_[static_cast<std::size_t>(id)];
+        return Key{r.when, r.prio, r.order, id};
+    }
+
+    int
+    pick(int hi)
+    {
+        return std::uniform_int_distribution<int>(0, hi)(rng_);
+    }
+
+    void
+    onExecute(int id)
+    {
+        const auto it = model_.find(keyOf(id));
+        ASSERT_NE(it, model_.end()) << "event " << id << " not pending";
+        EXPECT_EQ(it, model_.begin())
+            << "event " << id << " ran ahead of the model minimum";
+        EXPECT_EQ(q_.now(), std::get<0>(*it));
+        model_.erase(it);
+        Ref &r = refs_[static_cast<std::size_t>(id)];
+        r.pending = false;
+        ++executedCount;
+        // Mid-run as well: late in a drain the heap runs dry and the
+        // buffer holds both minima.
+        checkQueries();
+
+        // Follow-ups: same tick (any priority, so some order before
+        // their parent's key), near, and now and then far.
+        if (r.depth == 0)
+            return;
+        const int depth = r.depth - 1;
+        int n = pick(2);
+        if (pick(15) == 0) {
+            n = 24;
+            ++wideFanouts;
+        }
+        for (int i = 0; i < n; ++i) {
+            Tick delta = 0;
+            switch (pick(7)) {
+              case 0:
+                break;
+              case 1:
+                delta = kHorizon + static_cast<Tick>(pick(1 << 20));
+                break;
+              default:
+                delta = static_cast<Tick>(pick(2000));
+                break;
+            }
+            schedule(q_.now() + delta, depth);
+        }
+    }
+
+    const EventPriority prios_[prioCount] = {
         EventPriority::NetworkOrder, EventPriority::Delivery,
         EventPriority::Controller, EventPriority::Cpu,
         EventPriority::Default,
     };
 
-    EventQueue q;
-    std::vector<int> executed;
-    std::vector<Ref> refs;
-    std::vector<bool> cancelled;
-    auto &pool = EventPool<PooledTestEvent>::instance();
-    std::vector<std::pair<int, PooledTestEvent *>> live;
+    EventQueue &q_;
+    std::mt19937_64 rng_{12345};
+    std::vector<Ref> refs_;
+    std::uint64_t order_ = 0;
+    std::set<Key> model_;
+};
 
-    int next_id = 0;
-    std::size_t order = 0;
+/**
+ * Randomized equivalence check: the queue must execute exactly the
+ * total order of the reference model above. Exercises near and far
+ * scheduling from outside run(), handler-scheduled follow-ups that
+ * park in and spill from the run-next buffer, partial runs, single
+ * steps, and deschedules wherever an event sits; after every partial
+ * run the pending count, earliestTwo and forEachPending must agree
+ * with the model.
+ */
+TEST(EventQueueCalendar, RandomizedHeapEquivalence)
+{
+    EventQueue q;
+    QueueModelHarness h(q);
+    std::mt19937_64 rng(777);
+    std::uniform_int_distribution<Tick> near_d(0, kHorizon / 2);
+    std::uniform_int_distribution<Tick> far_d(kHorizon, 4 * kHorizon);
+    std::uniform_int_distribution<int> coin(0, 3);
+
     for (int round = 0; round < 30; ++round) {
         // Schedule a batch: mostly short-horizon, some far beyond it.
-        std::uniform_int_distribution<Tick> near_d(0, kHorizon / 2);
-        std::uniform_int_distribution<Tick> far_d(kHorizon,
-                                                  4 * kHorizon);
-        std::uniform_int_distribution<int> prio_d(0, 4);
-        std::uniform_int_distribution<int> coin(0, 3);
         for (int i = 0; i < 60; ++i) {
             Tick when =
                 q.now() + (coin(rng) == 0 ? far_d(rng) : near_d(rng));
-            EventPriority prio =
-                prios[static_cast<std::size_t>(prio_d(rng))];
-            int id = next_id++;
-            auto *ev = pool.acquire(&executed, id);
-            q.schedule(*ev, when, prio);
-            refs.push_back(
-                Ref{when, static_cast<int>(prio), order++, id});
-            cancelled.push_back(false);
-            live.emplace_back(id, ev);
+            h.schedule(when, 2);
         }
+        h.cancelSome();
+        ASSERT_NO_FATAL_FAILURE(h.checkQueries());
 
-        // Cancel a random quarter of whatever is still scheduled.
-        for (std::size_t i = 0; i < live.size();) {
-            if (live[i].second->scheduled() && coin(rng) == 0) {
-                q.deschedule(*live[i].second);
-                cancelled[static_cast<std::size_t>(live[i].first)] =
-                    true;
-                live.erase(live.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-            } else {
-                ++i;
-            }
-        }
+        // Run partway, leaving events parked across the boundary.
+        const Tick limit = q.now() + kHorizon / 3 +
+                           static_cast<Tick>(round) * 911;
+        q.run(limit);
+        EXPECT_TRUE(h.modelDrainedThrough(limit)) << "round " << round;
+        ASSERT_NO_FATAL_FAILURE(h.checkQueries());
 
-        // Run partway, so later rounds schedule into a mid-lap ring.
-        // Events that executed were released back to the pool (their
-        // slots may already be recycled), so prune by executed id --
-        // poking ev->scheduled() on a released slot would be
-        // use-after-free.
-        q.run(q.now() + kHorizon / 3 + round * 911);
-        std::vector<char> ran(static_cast<std::size_t>(next_id), 0);
-        for (int id : executed)
-            ran[static_cast<std::size_t>(id)] = 1;
-        live.erase(std::remove_if(live.begin(), live.end(),
-                                  [&](const auto &e) {
-                                      return ran[static_cast<
-                                          std::size_t>(e.first)] != 0;
-                                  }),
-                   live.end());
+        // Cancel among what the handlers left behind, then (now and
+        // then) take one step outside run(), where follow-ups go
+        // straight to the heap.
+        h.cancelSome();
+        if (!q.empty() && coin(rng) == 0)
+            q.step();
+        ASSERT_NO_FATAL_FAILURE(h.checkQueries());
     }
     q.run();
+    ASSERT_NO_FATAL_FAILURE(h.checkQueries());
+    EXPECT_TRUE(q.empty());
 
-    std::vector<Ref> expected;
-    for (const Ref &r : refs)
-        if (!cancelled[static_cast<std::size_t>(r.id)])
-            expected.push_back(r);
-    std::sort(expected.begin(), expected.end(),
-              [](const Ref &a, const Ref &b) {
-                  return std::tie(a.when, a.prio, a.order) <
-                         std::tie(b.when, b.prio, b.order);
-              });
-
-    ASSERT_EQ(executed.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(executed[i], expected[i].id) << "at position " << i;
+    // The run-next buffer did real work: it spilled (a handler
+    // scheduled more follow-ups than it has seats) and it served a
+    // share of the executions without a heap insert and pop.
+    EXPECT_GT(h.wideFanouts, 0);
+    EXPECT_EQ(q.executed(), h.executedCount);
+    EXPECT_LT(q.calendarOps(), 2 * q.executed());
 }
 
 TEST(EventQueueIntrusive, DeterministicAcrossIdenticalRunsUnderPool)
