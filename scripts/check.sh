@@ -4,7 +4,7 @@
 # everything happens in the repo root. This is what CI runs, and what
 # every PR should pass locally:
 #
-#   1. configure + build (Release, warnings-as-errors for src/)
+#   1. configure + build (Release, warnings-as-errors on every target)
 #   2. ctest unit suite
 #   3. bench_perf_hotpath with a small --measure, checked against the
 #      committed BENCH_hotpath.json: a >15% events/sec regression on

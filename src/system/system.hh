@@ -216,12 +216,12 @@ struct SystemStats {
 
     /** Event-queue heap inserts + pops in the measured phase (see
      *  EventQueue::calendarOps). Fused hop chains execute their
-     *  intermediate hops without re-entering the queue, so this (divided by misses) is the figure of merit
-     *  the fusion optimisation moves. Partition-dependent: a chain
-     *  advance can be refused near a shard-window boundary and fall
-     *  back to a real insert, so the count may differ across shard
-     *  counts -- a host performance counter, never a figure
-     *  statistic. */
+     *  intermediate hops without re-entering the queue, so this
+     *  (divided by misses) is the figure of merit the fusion
+     *  optimisation moves. Partition-dependent: a chain advance can
+     *  be refused near a shard-window boundary and fall back to a
+     *  real insert, so the count may differ across shard counts -- a
+     *  host performance counter, never a figure statistic. */
     std::uint64_t calendarOps = 0;
 
     double

@@ -326,7 +326,7 @@ TEST(EventQueueCalendar, SameTickOrderAcrossRingAndOverflow)
     // much later, from a handler (so it parks in the run-next buffer).
     EventQueue q;
     std::vector<int> log;
-    const Tick far = 3 * kHorizon + 17;
+    constexpr Tick far = 3 * kHorizon + 17;
 
     q.schedule(far, [&log]() { log.push_back(2); },
                EventPriority::Controller);
@@ -336,7 +336,7 @@ TEST(EventQueueCalendar, SameTickOrderAcrossRingAndOverflow)
                EventPriority::NetworkOrder);
     // A stepping stone well before `far` that adds one more event at
     // that tick.
-    q.schedule(kHorizon / 2, [&q, &log, far]() {
+    q.schedule(kHorizon / 2, [&q, &log]() {
         q.schedule(far, [&log]() { log.push_back(4); },
                    EventPriority::Controller);
     });

@@ -198,7 +198,7 @@ TEST(ShardedKernel, PoolsDrainToZeroPerShard)
         // executed (hence recycled) on another.
         std::atomic<int> executions{0};
         for (std::uint8_t d = 0; d < 4; ++d) {
-            ports[d].schedule(Tick{100} + d, [&, d]() {
+            ports[d].schedule(Tick{100} + d, [&]() {
                 for (std::uint8_t to = 0; to < 4; ++to) {
                     ports[to].scheduleIn(kLookahead,
                                          [&]() { ++executions; });
