@@ -33,6 +33,10 @@
  *   --switch-ns F  switch<->global interconnect leg in ns, 0..1e6
  *                  (default 0)
  *   --seed S       RNG seed (default 1)
+ *   --repeat N     run each config N times (default 1) with a fresh
+ *                  workload and System; report the median wall time
+ *                  and events/sec with their min/max. Every
+ *                  repetition must give bit-identical statistics
  *   --out FILE     JSON output path (default BENCH_hotpath.json)
  *   --oracle       shadow every run with the coherence oracle
  *   --mutate M     inject protocol mutation M (implies --oracle);
@@ -64,6 +68,7 @@
  * signal kills immediately.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <climits>
 #include <cstdint>
@@ -224,9 +229,23 @@ parseArgs(int argc, char **argv)
 struct ConfigResult {
     std::string name;
     unsigned threads = 1;
+    /** Median over the repetitions, and the spread around it. */
     double wallSeconds = 0.0;
+    double wallMin = 0.0;
+    double wallMax = 0.0;
+    unsigned reps = 0;
     bool partial = false;  ///< interrupted mid-run; stats incomplete
     SystemStats stats;
+    /** Workload generation pipeline, medians over the repetitions:
+     *  consumer stalls on an empty ring, producer wake-ups. */
+    double genStalls = 0.0;
+    double genWakes = 0.0;
+
+    static double
+    perSec(std::uint64_t n, double seconds)
+    {
+        return seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0;
+    }
 
     double
     barriersPerWindow() const
@@ -240,20 +259,24 @@ struct ConfigResult {
     double
     eventsPerSec() const
     {
-        return wallSeconds > 0.0
-                   ? static_cast<double>(stats.eventsExecuted) /
-                         wallSeconds
-                   : 0.0;
+        return perSec(stats.eventsExecuted, wallSeconds);
     }
 
     double
     missesPerSec() const
     {
-        return wallSeconds > 0.0
-                   ? static_cast<double>(stats.misses) / wallSeconds
-                   : 0.0;
+        return perSec(stats.misses, wallSeconds);
     }
 };
+
+/** Median of a non-empty sample (mean of the middle two when even). */
+double
+median(std::vector<double> xs)
+{
+    std::sort(xs.begin(), xs.end());
+    std::size_t n = xs.size();
+    return n % 2 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2.0;
+}
 
 /** Config currently inside System::run(), for the panic hook: a
  *  violation exits from deep inside the simulator, and the dump
@@ -265,11 +288,13 @@ runConfig(const HotpathOptions &opt, const std::string &name,
           ProtocolKind protocol, PredictorPolicy policy,
           CpuModel cpu_model, unsigned threads)
 {
-    // Best-of-N (--repeat): fresh workload + System per repetition,
-    // identical seeds, keep the fastest wall clock. Every repetition
-    // must produce bit-identical simulation statistics -- a free
-    // same-process determinism check the bench enforces.
+    // Median-of-N (--repeat): fresh workload + System per repetition,
+    // identical seeds; the wall clock is reported as the median with
+    // its min and max. Every repetition must produce bit-identical
+    // simulation statistics -- a free same-process determinism check
+    // the bench enforces.
     ConfigResult result;
+    std::vector<double> walls, stalls, wakes;
     for (unsigned rep = 0; rep < opt.repeat; ++rep) {
         auto workload =
             makeWorkload(opt.workload, opt.nodes, opt.seed, 0.25);
@@ -326,18 +351,23 @@ runConfig(const HotpathOptions &opt, const std::string &name,
                 result.threads = System::shardCountFor(params);
                 result.stats = stats;
                 result.wallSeconds = stats.wallSeconds;
+            } else {
+                result.wallSeconds = median(walls);
             }
             result.partial = true;
             return result;
         }
 
+        // Wall time of the measured phase only, so warmup does not
+        // dilute the throughput numbers.
+        walls.push_back(stats.wallSeconds);
+        Workload::PipelineStats gen = workload->pipelineStats();
+        stalls.push_back(static_cast<double>(gen.stalls));
+        wakes.push_back(static_cast<double>(gen.wakes));
         if (rep == 0) {
             result.name = name;
             result.threads = System::shardCountFor(params);
             result.stats = stats;
-            // Wall time of the measured phase only, so warmup does
-            // not dilute the throughput numbers.
-            result.wallSeconds = stats.wallSeconds;
             continue;
         }
         if (stats.eventsExecuted != result.stats.eventsExecuted ||
@@ -356,11 +386,14 @@ runConfig(const HotpathOptions &opt, const std::string &name,
                       "0 -- same-process nondeterminism",
                       rep, name.c_str());
         }
-        if (stats.wallSeconds < result.wallSeconds) {
-            result.stats = stats;
-            result.wallSeconds = stats.wallSeconds;
-        }
     }
+    result.reps = static_cast<unsigned>(walls.size());
+    result.wallSeconds = median(walls);
+    result.wallMin = *std::min_element(walls.begin(), walls.end());
+    result.wallMax = *std::max_element(walls.begin(), walls.end());
+    result.genStalls = median(stalls);
+    result.genWakes = median(wakes);
+    result.stats.wallSeconds = result.wallSeconds;
     return result;
 }
 
@@ -409,13 +442,30 @@ writeJson(const HotpathOptions &opt,
         if (r.partial)
             std::fprintf(f, "      \"partial\": true,\n");
         std::fprintf(f, "      \"threads\": %u,\n", r.threads);
+        // --repeat N: medians, with min/max over the repetitions.
+        std::fprintf(f, "      \"repeat\": %u,\n", r.reps);
         std::fprintf(f, "      \"wall_seconds\": %.6f,\n",
                      r.wallSeconds);
+        std::fprintf(f, "      \"wall_seconds_min\": %.6f,\n",
+                     r.wallMin);
+        std::fprintf(f, "      \"wall_seconds_max\": %.6f,\n",
+                     r.wallMax);
         std::fprintf(f, "      \"events\": %llu,\n",
                      static_cast<unsigned long long>(
                          r.stats.eventsExecuted));
         std::fprintf(f, "      \"events_per_sec\": %.0f,\n",
                      r.eventsPerSec());
+        std::fprintf(f, "      \"events_per_sec_min\": %.0f,\n",
+                     ConfigResult::perSec(r.stats.eventsExecuted,
+                                          r.wallMax));
+        std::fprintf(f, "      \"events_per_sec_max\": %.0f,\n",
+                     ConfigResult::perSec(r.stats.eventsExecuted,
+                                          r.wallMin));
+        // Workload generation pipeline (host behaviour, not a figure
+        // statistic): consumer stalls on an empty reference ring and
+        // producer wake-ups, whole run including warmups.
+        std::fprintf(f, "      \"gen_stalls\": %.0f,\n", r.genStalls);
+        std::fprintf(f, "      \"gen_wakes\": %.0f,\n", r.genWakes);
         std::fprintf(f, "      \"misses\": %llu,\n",
                      static_cast<unsigned long long>(r.stats.misses));
         std::fprintf(f, "      \"misses_per_sec\": %.0f,\n",
@@ -570,16 +620,19 @@ main(int argc, char **argv)
     if (results.empty() && !interrupted)
         dsp_fatal("no config named '%s'", opt.onlyConfig.c_str());
 
-    std::printf("%-24s %12s %14s %12s %14s\n", "config", "events",
-                "events/sec", "misses", "misses/sec");
+    std::printf("%-30s %12s %14s %12s %14s %23s %10s %8s\n", "config",
+                "events", "events/sec", "misses", "misses/sec",
+                "wall s [min, max]", "gen stall", "gen wake");
     for (const ConfigResult &r : results) {
-        std::printf("%-24s %12llu %14.0f %12llu %14.0f\n",
+        std::printf("%-30s %12llu %14.0f %12llu %14.0f %7.4f [%.4f, %.4f] "
+                    "%10.0f %8.0f\n",
                     r.name.c_str(),
                     static_cast<unsigned long long>(
                         r.stats.eventsExecuted),
                     r.eventsPerSec(),
                     static_cast<unsigned long long>(r.stats.misses),
-                    r.missesPerSec());
+                    r.missesPerSec(), r.wallSeconds, r.wallMin,
+                    r.wallMax, r.genStalls, r.genWakes);
     }
 
     EventPoolStats pools = eventPoolStats();

@@ -6,13 +6,18 @@
 #
 #   1. configure + build (Release, warnings-as-errors on every target)
 #   2. ctest unit suite
-#   3. bench_perf_hotpath with a small --measure, checked against the
-#      committed BENCH_hotpath.json: a >15% events/sec regression on
-#      any config fails the run. Pass --allow-perf-regression (or set
-#      ALLOW_PERF_REGRESSION=1) for intentional perf changes. The
+#   3. bench_perf_hotpath with a small --measure. Events/sec is
+#      gated against the parent revision, built here from a `git
+#      archive` export (as scripts/ab.sh does) and run in alternating
+#      order with this tree, 3 pairs: a config whose median falls
+#      below 0.85x of the parent's median fails the run. The parent
+#      is HEAD when the working tree has changes, else HEAD^. Pass
+#      --allow-perf-regression (or set ALLOW_PERF_REGRESSION=1) for
+#      intentional perf changes; it skips the parent build. The
 #      host-independent work counters (events/miss, calendar
 #      ops/miss, touched words/access) of each single-threaded config
-#      must stay within 2% of the baseline, waiver or not.
+#      must stay within 2% of the committed BENCH_hotpath.json,
+#      waiver or not.
 #   4. sharded-kernel determinism cross-check: the Figure-7 multicast
 #      config is run with --threads 1 and --threads 4 and every
 #      deterministic figure statistic must match bit-for-bit -- first
@@ -119,11 +124,12 @@ if [[ "$VIOLATION" != "$REPLAYED" ]]; then
 fi
 echo "oracle: drop-inval caught (exit 77); bounded replay identical"
 
-# Small measured run: enough events for a stable events/sec figure,
-# quick enough for CI (a few seconds). --repeat 3 takes the best of
-# three per config, cutting scheduler noise out of the regression
-# guard (each repetition is also checked to be bit-identical by the
-# bench itself).
+# Small measured run: enough events for stable work counters, quick
+# enough for CI (a few seconds). --repeat 3 reports the median of
+# three per config with its min and max (each repetition is also
+# checked to be bit-identical by the bench itself). This run is the
+# trajectory BENCH_hotpath.json records and the input of the work
+# gates below.
 BASELINE=BENCH_hotpath.json
 FRESH=build/BENCH_hotpath_fresh.json
 ./build/bench_perf_hotpath --measure 200000 --warmup 20000 \
@@ -207,10 +213,23 @@ if ! awk -v r="$L0MIN" 'BEGIN { exit !(r > 0 && r < 1) }'; then
 fi
 echo "l0_hit_rate: >= $L0MIN on all configs"
 
-# Per-config events/sec guard. Bench noise on a busy machine is well
-# under the 15% bar; a real regression from a hot-path change is not.
-# With --allow-perf-regression the comparison still prints, but only
-# informationally (intentional perf changes, non-comparable hardware).
+# Per-config events/sec guard against the parent revision, measured
+# here and now: a committed number from another moment (or host)
+# mostly measures host load. The parent is exported with `git
+# archive` and built in a scratch tree; the two benches then run in
+# alternating order, 3 pairs, so slow drift of the host lands on both
+# sides alike, and each config's median events/sec must stay at or
+# above 0.85x of the parent's median.
+# perf_base_rev: the revision this tree's change sits on -- HEAD when
+# the working tree differs from it, else HEAD's parent.
+perf_base_rev() {
+    git rev-parse --is-inside-work-tree > /dev/null 2>&1 || return 1
+    if [[ -n "$(git status --porcelain)" ]]; then
+        git rev-parse --verify --quiet 'HEAD^{commit}'
+    else
+        git rev-parse --verify --quiet 'HEAD^^{commit}'
+    fi
+}
 extract_evps() {
     awk -F: '
         /"name"/   { gsub(/[ ",]/, "", $2); name = $2 }
@@ -218,30 +237,88 @@ extract_evps() {
             gsub(/[ ,]/, "", $2); print name, $2; name = ""
         }' "$1"
 }
-if [[ -f "$BASELINE" ]]; then
-    if ! { extract_evps "$BASELINE"; echo "--"; extract_evps "$FRESH"; } \
-        | awk -v \
-        enforce="$([[ "$ALLOW_PERF_REGRESSION" == "1" ]] || echo 1)" '
-        $1 == "--"  { fresh_section = 1; next }
-        !fresh_section { base[$1] = $2; next }
-        { fresh[$1] = $2 }
+PERF_PAIRS=3
+if [[ "$ALLOW_PERF_REGRESSION" == "1" ]]; then
+    echo "perf guard: waived (--allow-perf-regression); parent A/B" \
+         "not run"
+elif ! BASE_SHA="$(perf_base_rev)"; then
+    echo "check.sh: cannot resolve the parent revision for the" \
+         "events/sec A/B (not a git checkout, or a shallow clone);" \
+         "rerun with --allow-perf-regression to skip it" >&2
+    exit 1
+else
+    PERF_WORK="$(mktemp -d "${TMPDIR:-/tmp}/dsp_check.XXXXXX")"
+    trap 'rm -rf "$PERF_WORK"' EXIT
+    mkdir "$PERF_WORK/src"
+    git archive "$BASE_SHA" | tar -x -C "$PERF_WORK/src"
+    echo "perf guard: building parent ${BASE_SHA:0:12} in $PERF_WORK"
+    cmake -B "$PERF_WORK/build" -S "$PERF_WORK/src" \
+        -DCMAKE_BUILD_TYPE=Release > /dev/null
+    cmake --build "$PERF_WORK/build" --target bench_perf_hotpath \
+        -j"$JOBS" > /dev/null
+    for ((i = 0; i < PERF_PAIRS; i++)); do
+        if ((i % 2 == 0)); then sides="parent change"
+        else sides="change parent"; fi
+        for side in $sides; do
+            bin=./build/bench_perf_hotpath
+            [[ "$side" == parent ]] && \
+                bin="$PERF_WORK/build/bench_perf_hotpath"
+            out="$PERF_WORK/$side.$i.json"
+            "$bin" --measure 200000 --warmup 20000 --out "$out" \
+                > /dev/null
+            validate_bench_json "$out"
+        done
+    done
+    if ! for side in parent change; do
+            for ((i = 0; i < PERF_PAIRS; i++)); do
+                extract_evps "$PERF_WORK/$side.$i.json" | \
+                    sed "s/^/$side /"
+            done
+        done | awk -v pairs="$PERF_PAIRS" '
+        # median of the n values v[1..n] (n small): insertion sort
+        function median(v, n,    i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && v[j - 1] > v[j]; j--) {
+                    t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
+                }
+            return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+        }
+        { vals[$1, $2, ++n[$1, $2]] = $3; names[$2] = 1 }
         END {
-            status = 0
-            for (name in fresh) {
-                if (!(name in base) || base[name] <= 0) continue
-                ratio = fresh[name] / base[name]
-                printf "perf guard: %-32s %12.0f -> %12.0f ev/s (%.2fx)\n", \
-                       name, base[name], fresh[name], ratio
-                if (ratio < 0.85 && enforce == "1") {
-                    printf "perf guard: FAIL %s regressed >15%%\n", name
+            status = 0; compared = 0
+            for (name in names) {
+                if (n["parent", name] != pairs ||
+                    n["change", name] != pairs) {
+                    printf "perf guard: %s missing from a run\n", name
+                    status = 1
+                    continue
+                }
+                for (s = 0; s < 2; s++) {
+                    side = s ? "change" : "parent"
+                    for (i = 1; i <= pairs; i++)
+                        tmp[i] = vals[side, name, i]
+                    med[side] = median(tmp, pairs)
+                }
+                ++compared
+                ratio = med["parent"] > 0 ? med["change"] / med["parent"] : 0
+                printf "perf guard: %-32s %12.0f -> %12.0f ev/s " \
+                       "(%.2fx, medians of %d alternating pairs)\n", \
+                       name, med["parent"], med["change"], ratio, pairs
+                if (ratio < 0.85) {
+                    printf "perf guard: FAIL %s regressed >15%% vs " \
+                           "the parent\n", name
                     status = 1
                 }
             }
+            if (compared == 0) {
+                print "perf guard: no config compared"
+                status = 1
+            }
             exit status
         }'; then
-        echo "check.sh: events/sec regression vs committed" \
-             "BENCH_hotpath.json (rerun with --allow-perf-regression" \
-             "if intentional)" >&2
+        echo "check.sh: events/sec regression vs the parent revision" \
+             "${BASE_SHA:0:12} (rerun with --allow-perf-regression if" \
+             "intentional)" >&2
         exit 1
     fi
 fi

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "checkpoint/checkpoint.hh"
@@ -148,7 +149,9 @@ class PrivateRegion : public Region
         std::uint64_t seqCursor = 0;
         std::uint64_t seqRemaining = 0;  ///< blocks left in the run
         std::uint32_t refsLeftInBlock = 0;
+        std::uint32_t pad = 0;  ///< checkpoint bytes: no unset padding
     };
+    static_assert(std::has_unique_object_representations_v<ProcState>);
     std::vector<ProcState> procs_;
 };
 
@@ -219,7 +222,9 @@ class MigratoryRegion : public Region
     struct ProcState {
         std::uint64_t item = 0;
         std::uint32_t opsLeft = 0;
+        std::uint32_t pad = 0;  ///< checkpoint bytes: no unset padding
     };
+    static_assert(std::has_unique_object_representations_v<ProcState>);
     std::vector<ProcState> procs_;
 };
 
@@ -265,10 +270,12 @@ class ProducerConsumerRegion : public Region
 
     struct ProcState {
         bool consuming = false;
+        std::uint8_t pad[7] = {};  ///< checkpoint bytes: no unset padding
         std::uint64_t buffer = 0;
         std::uint32_t cursor = 0;
         std::uint32_t refsLeftInBlock = 0;
     };
+    static_assert(std::has_unique_object_representations_v<ProcState>);
     std::vector<ProcState> procs_;
 };
 

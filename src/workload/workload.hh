@@ -1,17 +1,29 @@
 /**
  * @file
  * A workload is a weighted mixture of sharing-pattern regions plus an
- * instruction-work model. Each of the 16 simulated processors pulls an
+ * instruction-work model. Each simulated processor pulls an
  * independent, deterministic reference stream from it.
+ *
+ * The streams are generated off the simulating thread (see
+ * docs/workload_pipeline.md). Each Workload owns one producer thread,
+ * started by the first next() (none in a process allowed only one
+ * core), that keeps a bounded ring of references per processor topped
+ * up; a consumer whose ring runs dry generates the next chunk itself.
+ * A processor's stream depends only on its own Rng and its own region
+ * state, so who generates it, and how far ahead, never changes a
+ * draw.
  */
 
 #ifndef DSP_WORKLOAD_WORKLOAD_HH
 #define DSP_WORKLOAD_WORKLOAD_HH
 
-#include <array>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "checkpoint/checkpoint.hh"
@@ -48,52 +60,56 @@ class Workload
     Workload(std::string name, NodeId num_nodes, double mean_work,
              std::uint64_t seed, double episode_len = 8.0);
 
-    /** Append a region with a relative selection weight. */
+    /** Stops and joins the producer thread. */
+    ~Workload();
+
+    Workload(const Workload &) = delete;
+    Workload &operator=(const Workload &) = delete;
+
+    /** Append a region with a relative selection weight. Only before
+     *  the first next(). */
     void addRegion(std::unique_ptr<Region> region, double weight);
 
     /**
      * Next reference for processor p. Deterministic per (seed, p).
      *
-     * References are generated refillBatch() at a time into a per
-     * -processor buffer: the episode/region/work draws for a whole
-     * batch run back to back with the generator state hot, instead of
-     * re-entering through the CPU model for every reference. Each
-     * processor's stream is independent and generated strictly in
-     * order, so the refill changes no draw (pinned by a test).
+     * Pops from p's ring. Every ringStep references it publishes its
+     * position to the producer and takes the next window. When the
+     * ring is empty it generates the next chunk itself, on this
+     * thread; it blocks (on the lane's mutex, never spinning) only
+     * while the producer is generating a chunk for the same ring.
+     * Each processor's ring must be drained by one thread at a time;
+     * the rings of different processors may be drained concurrently.
      */
     MemRef
     next(NodeId p)
     {
         dsp_assert(p < numNodes_, "processor %u out of range", p);
-        ProcState &st = procs_[p];
-        if (st.bufPos == st.buf.size())
-            refill(st);
-        ++st.consumed;
-        return st.buf[st.bufPos++];
+        Lane &lane = lanes_[p];
+        if (lane.pos == lane.limit)
+            take(lane);
+        return lane.slots[lane.pos++ & ringMask];
     }
 
     /** References handed out to processor p so far. A violation repro
      *  bundle records these so a replay can bound its progress. */
-    std::uint64_t
-    consumed(NodeId p) const
-    {
-        return procs_[p].consumed;
-    }
+    std::uint64_t consumed(NodeId p) const { return lanes_[p].pos; }
 
-    /** References generated per refill (test knob; default 64). */
-    std::size_t refillBatch() const { return refillBatch_; }
+    /** How the generation pipeline behaved so far: consumer stalls on
+     *  an empty ring (each generates one chunk on the consumer's
+     *  thread), and producer wake-ups from sleep. */
+    struct PipelineStats {
+        std::uint64_t stalls = 0;
+        std::uint64_t wakes = 0;
+    };
+    PipelineStats pipelineStats() const;
 
-    /**
-     * Change the refill granularity (1 = generate on demand, exactly
-     * the pre-batching behaviour). Only affects *when* references are
-     * generated, never their values; callable mid-stream (buffered
-     * references drain first).
-     */
-    void
-    setRefillBatch(std::size_t batch)
+    /** True while the producer thread sleeps, or is about to: it has
+     *  topped up every ring and waits for one to drop below half. */
+    bool
+    producerAsleep() const
     {
-        dsp_assert(batch >= 1, "refill batch must be >= 1");
-        refillBatch_ = batch;
+        return asleep_.load(std::memory_order_acquire) != 0;
     }
 
     const std::string &name() const { return name_; }
@@ -106,62 +122,74 @@ class Workload
     Addr totalFootprint() const;
 
     /**
-     * Checkpoint every per-processor stream: RNG state, episode
-     * cursor, and the refill buffer verbatim. Restoring the buffer
-     * (rather than regenerating) keeps the stream byte-identical even
-     * if the restored run uses a different refill batch.
+     * Checkpoint every per-processor stream. Stops the producer and
+     * fills every ring to capacity on the calling thread first, then
+     * saves the generator state and the ring's pending references as
+     * the `buf`/`bufPos` fields. The bytes depend only on how many
+     * references each processor has consumed, not on how far the
+     * producer had run. The producer restarts at the next next().
      */
-    void
-    ckptSave(ckpt::Writer &w) const
-    {
-        w.section(0x574b4c44u);  // "WKLD"
-        w.u64(procs_.size());
-        for (const ProcState &st : procs_) {
-            for (std::uint64_t v : st.rng.ckptState())
-                w.u64(v);
-            w.u64(st.region);
-            w.u64(st.episodeLeft);
-            w.podVec(st.buf);
-            w.u64(st.bufPos);
-            w.u64(st.consumed);
-        }
-        w.u64(regions_.size());
-        for (const auto &region : regions_)
-            region->ckptSave(w);
-    }
+    void ckptSave(ckpt::Writer &w);
 
-    void
-    ckptLoad(ckpt::Reader &r)
-    {
-        r.section(0x574b4c44u);
-        dsp_assert(r.u64() == procs_.size(),
-                   "checkpoint workload processor count mismatch");
-        for (ProcState &st : procs_) {
-            std::array<std::uint64_t, 4> s;
-            for (std::uint64_t &v : s)
-                v = r.u64();
-            st.rng.ckptRestore(s);
-            st.region = static_cast<std::size_t>(r.u64());
-            st.episodeLeft = r.u64();
-            st.buf = r.podVec<MemRef>();
-            st.bufPos = static_cast<std::size_t>(r.u64());
-            st.consumed = r.u64();
-        }
-        dsp_assert(r.u64() == regions_.size(),
-                   "checkpoint workload region count mismatch");
-        for (auto &region : regions_)
-            region->ckptLoad(r);
-    }
+    /** Restore a ckptSave() snapshot (the pending references may be
+     *  fewer than a ring holds, as in snapshots of the inline
+     *  generator). Rejects out-of-range positions with dsp_fatal. */
+    void ckptLoad(ckpt::Reader &r);
 
   private:
-    struct ProcState;
+    /** References per processor ring (power of two). */
+    static constexpr std::uint32_t ringSize = 512;
+    static constexpr std::uint32_t ringMask = ringSize - 1;
+    /** Consumer window and producer chunk: the consumer publishes its
+     *  position, and the producer its output, this often. */
+    static constexpr std::uint32_t ringStep = 64;
+
+    /** One processor's ring and generator, on separate cache lines:
+     *  the consumer's, its published position, and the generator's
+     *  (output position, generator state and the lock that makes
+     *  whoever holds it the lane's one generator). */
+    struct Lane {
+        // Consumer side, read on every next().
+        MemRef *slots = nullptr;    ///< this lane's ringSize slots
+        std::uint64_t pos = 0;      ///< references consumed
+        std::uint64_t limit = 0;    ///< pos may run up to here
+        std::atomic<std::uint64_t> stalls{0};
+        // Written by the consumer, read by the producer.
+        /** pos, published */
+        alignas(64) std::atomic<std::uint32_t> tail{0};
+        // Generator side: everything below is guarded by gen.
+        /** produced, published */
+        alignas(64) std::atomic<std::uint32_t> head{0};
+        std::mutex gen;
+        std::uint64_t produced = 0;  ///< references generated
+        Rng rng;
+        std::size_t region = 0;
+        std::uint64_t episodeLeft = 0;
+    };
 
     std::size_t pickRegion(Rng &rng) const;
 
-    /** Refill a processor's buffer with the next refillBatch_ refs,
-     *  episode-chunked with the RNG state hoisted into locals (see
-     *  the definition); draw-identical to one-at-a-time generation. */
-    void refill(ProcState &st);
+    /** Generate the lane's next n references into its ring, episode-
+     *  chunked with the RNG state hoisted into a local, and publish
+     *  them; n must fit the free space. Caller holds lane.gen (or
+     *  the producer is stopped). */
+    void generate(Lane &lane, std::uint32_t n);
+
+    /** Consumer slow path at the end of a window: publish the
+     *  position, wake the producer if the ring is under half full,
+     *  and generate a chunk itself if it is empty. */
+    void take(Lane &lane);
+
+    void startProducer();
+    void stopProducer();
+    void wakeProducer();
+    /** Producer thread body; an escaping panic is kept in error_ for
+     *  the consumers to rethrow. */
+    void produce();
+    /** Top up every ring in ringStep chunks, round robin. Returns
+     *  false when asked to stop. */
+    bool topUp();
+    bool anyBelowHalf() const;
 
     std::string name_;
     NodeId numNodes_;
@@ -174,21 +202,18 @@ class Workload
     std::vector<std::unique_ptr<Region>> regions_;
     std::vector<double> cumWeights_;
 
-    struct ProcState {
-        Rng rng;
-        NodeId proc;
-        std::size_t region = 0;
-        std::uint64_t episodeLeft = 0;
-        /** Pre-generated references; refilled when drained. */
-        std::vector<MemRef> buf;
-        std::size_t bufPos = 0;
-        /** References handed out (not merely buffered). */
-        std::uint64_t consumed = 0;
+    std::unique_ptr<Lane[]> lanes_;
+    std::unique_ptr<MemRef[]> slots_;
 
-        ProcState(Rng r, NodeId p) : rng(r), proc(p) {}
-    };
-    std::size_t refillBatch_ = 64;
-    std::vector<ProcState> procs_;
+    std::atomic<std::uint32_t> running_{0};  ///< producer started
+    std::atomic<std::uint32_t> stop_{0};
+    std::atomic<std::uint32_t> asleep_{0};
+    std::atomic<std::uint32_t> wakeSeq_{0};  ///< producer futex word
+    std::atomic<std::uint64_t> wakes_{0};
+    std::atomic<std::uint32_t> failed_{0};
+    std::exception_ptr error_;  ///< written before failed_ is set
+    std::mutex startMutex_;     ///< serializes concurrent first takes
+    std::thread producer_;
 };
 
 } // namespace dsp
